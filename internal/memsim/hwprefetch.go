@@ -36,9 +36,10 @@ type HWStats struct {
 const maxHWDegree = 4
 
 // HWPort is the narrow window a hardware prefetcher gets into the memory
-// system: probe and fill the L2, and read the machine's line and page
-// geometry. Memory implements it; FillL2 accounts the fill in the run's
-// HWPrefetches counter.
+// system: probe and fill the L2. Memory implements it; FillL2 accounts the
+// fill in the run's HWPrefetches counter. The line and page geometry a
+// model trains on is fixed, so it is handed over once at construction
+// (hwBase) rather than asked for on every train.
 type HWPort interface {
 	// ProbeL2 reports whether addr's line is already present in the L2
 	// (without touching LRU state).
@@ -46,11 +47,6 @@ type HWPort interface {
 	// FillL2 installs addr's line into the L2 with a full memory-latency
 	// arrival time and counts it as a hardware prefetch.
 	FillL2(addr uint64, now uint64)
-	// LineShift is log2 of the L2 line size (the training granule).
-	LineShift() uint
-	// PageShift is log2 of the machine's DTLB page size (the boundary no
-	// hardware prefetcher may cross).
-	PageShift() uint
 }
 
 // HWPrefetcher is one pluggable hardware prefetch unit. Train observes one
@@ -98,55 +94,65 @@ func ValidHWModel(name string) bool {
 	return false
 }
 
-// newHWPrefetcher constructs the named model over a port. Callers validate
-// names at the flag/spec boundary; an unknown name here is a programming
-// error.
-func newHWPrefetcher(name string, port HWPort) HWPrefetcher {
+// newHWPrefetcher constructs the named model over b's port and geometry.
+// Callers validate names at the flag/spec boundary; an unknown name here is
+// a programming error.
+func newHWPrefetcher(name string, b hwBase) HWPrefetcher {
 	switch name {
 	case "", DefaultHWModel:
-		return newStreamPrefetcher(port)
+		return newStreamPrefetcher(b)
 	case "none":
-		return &nonePrefetcher{}
+		return &nonePrefetcher{hwBase: b}
 	case "nextline":
-		return &nextlinePrefetcher{port: port}
+		return &nextlinePrefetcher{hwBase: b}
 	case "ipstride":
-		return &ipstridePrefetcher{port: port}
+		return &ipstridePrefetcher{hwBase: b}
 	case "tracker":
-		return newTrackerPrefetcher(port)
+		return &trackerPrefetcher{hwBase: b, deque: make([]trackerEntry, 0, trackerEntries)}
 	case "multistride":
-		return &multistridePrefetcher{port: port}
+		return &multistridePrefetcher{hwBase: b}
 	}
 	panic(fmt.Sprintf("memsim: unknown hardware-prefetcher model %q (valid: %v)", name, hwModels))
 }
 
-// issue fills addr's next line unless it crosses out of page or is already
+// hwBase is what every model holds: the port it fills through, the
+// geometry it trains on, and its statistics.
+type hwBase struct {
+	port HWPort
+	// lineShift is log2 of the L2 line size (the training granule);
+	// pageShift is log2 of the DTLB page size (the boundary no hardware
+	// prefetcher may cross).
+	lineShift, pageShift uint
+	stats                HWStats
+}
+
+func (b *hwBase) Stats() HWStats { return b.stats }
+func (b *hwBase) ClearStats()    { b.stats = HWStats{} }
+
+// issue fills line nextLine unless it crosses out of page or is already
 // cached, updating stats accordingly. Shared by every model.
-func issueHW(port HWPort, stats *HWStats, nextLine int64, page uint64, now uint64) {
-	nextAddr := uint64(nextLine) << port.LineShift()
-	if nextAddr>>port.PageShift() != page {
-		stats.Suppressed++
+func (b *hwBase) issue(nextLine int64, page uint64, now uint64) {
+	nextAddr := uint64(nextLine) << b.lineShift
+	if nextAddr>>b.pageShift != page {
+		b.stats.Suppressed++
 		return // hardware prefetchers stop at page boundaries
 	}
-	if port.ProbeL2(nextAddr) {
-		stats.Suppressed++
+	if b.port.ProbeL2(nextAddr) {
+		b.stats.Suppressed++
 		return
 	}
-	stats.Issued++
-	port.FillL2(nextAddr, now)
+	b.stats.Issued++
+	b.port.FillL2(nextAddr, now)
 }
 
 // ---------------------------------------------------------------------------
 // none: no hardware prefetching (the software-only ablation point).
 
-type nonePrefetcher struct {
-	stats HWStats
-}
+type nonePrefetcher struct{ hwBase }
 
 func (p *nonePrefetcher) Name() string               { return "none" }
 func (p *nonePrefetcher) Train(addr, pc, now uint64) { p.stats.Trains++ }
 func (p *nonePrefetcher) Reset()                     { p.stats = HWStats{} }
-func (p *nonePrefetcher) Stats() HWStats             { return p.stats }
-func (p *nonePrefetcher) ClearStats()                { p.stats = HWStats{} }
 
 // ---------------------------------------------------------------------------
 // nextline: one-block-lookahead — fetch line n+1 on every reference to
@@ -154,23 +160,17 @@ func (p *nonePrefetcher) ClearStats()                { p.stats = HWStats{} }
 // direction detection; the weakest real unit and the strongest generator
 // of useless traffic.
 
-type nextlinePrefetcher struct {
-	port  HWPort
-	stats HWStats
-}
+type nextlinePrefetcher struct{ hwBase }
 
 func (p *nextlinePrefetcher) Name() string { return "nextline" }
 
 func (p *nextlinePrefetcher) Train(addr, pc, now uint64) {
 	p.stats.Trains++
 	p.stats.Hits++ // the prediction is unconditional
-	line := int64(addr >> p.port.LineShift())
-	issueHW(p.port, &p.stats, line+1, addr>>p.port.PageShift(), now)
+	p.issue(int64(addr>>p.lineShift)+1, addr>>p.pageShift, now)
 }
 
-func (p *nextlinePrefetcher) Reset()         { p.stats = HWStats{} }
-func (p *nextlinePrefetcher) Stats() HWStats { return p.stats }
-func (p *nextlinePrefetcher) ClearStats()    { p.stats = HWStats{} }
+func (p *nextlinePrefetcher) Reset() { p.stats = HWStats{} }
 
 // ---------------------------------------------------------------------------
 // stream: the simulator's original per-page stream detector — trains on
@@ -180,65 +180,67 @@ func (p *nextlinePrefetcher) ClearStats()    { p.stats = HWStats{} }
 
 // hwStream is one tracked stream of the stream detector.
 type hwStream struct {
-	page     uint64
 	lastLine uint64
 	delta    int64
 	conf     int8
-	lastUse  uint64
-	valid    bool
 }
 
 const hwStreams = 16
 
+// noPage marks an unused stream slot; no page number reaches it (a page
+// number is an address shifted right by at least one bit).
+const noPage = ^uint64(0)
+
+// streamPrefetcher keeps its table as parallel arrays: the page keys that
+// every train searches are adjacent (two host cache lines), and an exact
+// recency list over the slots picks the victim of an allocation in O(1).
+// Slots are freed only by Reset, and the list takes unused slots first, so
+// an allocation takes a free slot while there is one and evicts the least
+// recently trained stream after that.
 type streamPrefetcher struct {
-	port    HWPort
+	hwBase
+	pages   [hwStreams]uint64 // page tracked by each slot, or noPage
 	streams [hwStreams]hwStream
-	// lastStream is the index of the stream Train matched most recently —
-	// a scan-skipping hint (misses of one page cluster in time), never a
-	// behaviour change.
-	lastStream int
-	useTick    uint64
-	stats      HWStats
+	lru     [hwStreams + 1]lruLink
 }
 
-func newStreamPrefetcher(port HWPort) *streamPrefetcher {
-	return &streamPrefetcher{port: port}
+func newStreamPrefetcher(b hwBase) *streamPrefetcher {
+	p := &streamPrefetcher{hwBase: b}
+	p.Reset()
+	return p
 }
 
 func (p *streamPrefetcher) Name() string { return "stream" }
 
-func (p *streamPrefetcher) Train(addr, pc, now uint64) {
-	p.stats.Trains++
-	page := addr >> p.port.PageShift()
-	line := addr >> p.port.LineShift()
-	p.useTick++
-
-	var s *hwStream
-	if h := &p.streams[p.lastStream]; h.valid && h.page == page {
-		s = h
-	} else {
-		victim := 0
-		for i := range p.streams {
-			e := &p.streams[i]
-			if e.valid && e.page == page {
-				s = e
-				p.lastStream = i
-				break
-			}
-			if !e.valid {
-				victim = i
-			} else if p.streams[victim].valid && e.lastUse < p.streams[victim].lastUse {
-				victim = i
-			}
-		}
-		if s == nil {
-			p.streams[victim] = hwStream{page: page, lastLine: line, lastUse: p.useTick, valid: true}
-			p.lastStream = victim
-			p.stats.Allocs++
-			return
+// find returns the slot tracking page, or -1. Misses of one page cluster
+// in time, so the most recently trained slot is checked first.
+func (p *streamPrefetcher) find(page uint64) int {
+	if h := p.lru[hwStreams].next; p.pages[h] == page {
+		return int(h)
+	}
+	for i, pg := range p.pages {
+		if pg == page {
+			return i
 		}
 	}
-	s.lastUse = p.useTick
+	return -1
+}
+
+func (p *streamPrefetcher) Train(addr, pc, now uint64) {
+	p.stats.Trains++
+	page := addr >> p.pageShift
+	line := addr >> p.lineShift
+
+	i := p.find(page)
+	if i < 0 {
+		w := lruList(p.lru[:]).take()
+		p.pages[w] = page
+		p.streams[w] = hwStream{lastLine: line}
+		p.stats.Allocs++
+		return
+	}
+	lruList(p.lru[:]).touch(uint8(i))
+	s := &p.streams[i]
 	d := int64(line) - int64(s.lastLine)
 	s.lastLine = line
 	if d == 0 {
@@ -258,18 +260,17 @@ func (p *streamPrefetcher) Train(addr, pc, now uint64) {
 		return // only near-sequential streams, after confirmation
 	}
 	// Prefetch one line ahead along the stream, within the page.
-	issueHW(p.port, &p.stats, int64(line)+s.delta, page, now)
+	p.issue(int64(line)+s.delta, page, now)
 }
 
 func (p *streamPrefetcher) Reset() {
-	p.streams = [hwStreams]hwStream{}
-	p.lastStream = 0
-	p.useTick = 0
 	p.stats = HWStats{}
+	for i := range p.pages {
+		p.pages[i] = noPage
+	}
+	p.streams = [hwStreams]hwStream{}
+	lruList(p.lru[:]).reset()
 }
-
-func (p *streamPrefetcher) Stats() HWStats { return p.stats }
-func (p *streamPrefetcher) ClearStats()    { p.stats = HWStats{} }
 
 // ---------------------------------------------------------------------------
 // ipstride: the Baer–Chen reference prediction table — a pc-indexed,
@@ -299,9 +300,8 @@ type rptEntry struct {
 }
 
 type ipstridePrefetcher struct {
-	port  HWPort
+	hwBase
 	table [rptEntries]rptEntry
-	stats HWStats
 }
 
 func (p *ipstridePrefetcher) Name() string { return "ipstride" }
@@ -353,11 +353,11 @@ func (p *ipstridePrefetcher) Train(addr, pc, now uint64) {
 		// Predict the next byte address; prefetching is still per line, so
 		// a sub-line stride that stays on the current line is covered by
 		// the demand fetch already in flight.
-		predLine := (int64(addr) + e.stride) >> p.port.LineShift()
-		if predLine == int64(addr>>p.port.LineShift()) {
+		predLine := (int64(addr) + e.stride) >> p.lineShift
+		if predLine == int64(addr>>p.lineShift) {
 			p.stats.Suppressed++
 		} else {
-			issueHW(p.port, &p.stats, predLine, addr>>p.port.PageShift(), now)
+			p.issue(predLine, addr>>p.pageShift, now)
 		}
 	}
 }
@@ -366,9 +366,6 @@ func (p *ipstridePrefetcher) Reset() {
 	p.table = [rptEntries]rptEntry{}
 	p.stats = HWStats{}
 }
-
-func (p *ipstridePrefetcher) Stats() HWStats { return p.stats }
-func (p *ipstridePrefetcher) ClearStats()    { p.stats = HWStats{} }
 
 // ---------------------------------------------------------------------------
 // tracker: a small LRU deque of per-pc trackers (after Hermes' stride
@@ -390,15 +387,10 @@ type trackerEntry struct {
 }
 
 type trackerPrefetcher struct {
-	port HWPort
+	hwBase
 	// deque order: front (index 0) is the eviction candidate, back is the
 	// most recently used tracker.
 	deque []trackerEntry
-	stats HWStats
-}
-
-func newTrackerPrefetcher(port HWPort) *trackerPrefetcher {
-	return &trackerPrefetcher{port: port, deque: make([]trackerEntry, 0, trackerEntries)}
 }
 
 func (p *trackerPrefetcher) Name() string { return "tracker" }
@@ -433,19 +425,19 @@ func (p *trackerPrefetcher) Train(addr, pc, now uint64) {
 	t2.lastAddr = addr
 	if stride != 0 && stride == t.lastStride {
 		p.stats.Hits++
-		page := addr >> p.port.PageShift()
-		line := int64(addr >> p.port.LineShift())
+		page := addr >> p.pageShift
+		line := int64(addr >> p.lineShift)
 		// Walk the predicted byte addresses; per-line fetch means a target
 		// still on a previously covered line is counted suppressed (the
-		// ProbeL2 check in issueHW dedupes the just-filled ones).
+		// ProbeL2 check in issue dedupes the just-filled ones).
 		prev := line
 		for i := int64(1); i <= trackerDegree; i++ {
-			tl := (int64(addr) + i*stride) >> p.port.LineShift()
+			tl := (int64(addr) + i*stride) >> p.lineShift
 			if tl == prev {
 				p.stats.Suppressed++
 				continue
 			}
-			issueHW(p.port, &p.stats, tl, page, now)
+			p.issue(tl, page, now)
 			prev = tl
 		}
 	}
@@ -456,9 +448,6 @@ func (p *trackerPrefetcher) Reset() {
 	p.deque = p.deque[:0]
 	p.stats = HWStats{}
 }
-
-func (p *trackerPrefetcher) Stats() HWStats { return p.stats }
-func (p *trackerPrefetcher) ClearStats()    { p.stats = HWStats{} }
 
 // ---------------------------------------------------------------------------
 // multistride: compound-pattern detection after Blom et al. 2024
@@ -484,9 +473,8 @@ type msEntry struct {
 }
 
 type multistridePrefetcher struct {
-	port  HWPort
+	hwBase
 	table [msEntries]msEntry
-	stats HWStats
 }
 
 func (p *multistridePrefetcher) Name() string { return "multistride" }
@@ -496,7 +484,7 @@ func (p *multistridePrefetcher) Train(addr, pc, now uint64) {
 	if pc == 0 {
 		return
 	}
-	line := addr >> p.port.LineShift()
+	line := addr >> p.lineShift
 	e := &p.table[pc&(msEntries-1)]
 	if !e.valid || e.pc != pc {
 		*e = msEntry{pc: pc, lastLine: line, valid: true}
@@ -517,11 +505,11 @@ func (p *multistridePrefetcher) Train(addr, pc, now uint64) {
 	}
 	p.stats.Hits++
 	// Replay the next period of deltas ahead of the current line.
-	page := addr >> p.port.PageShift()
+	page := addr >> p.pageShift
 	next := int64(line)
 	for i := 0; i < period; i++ {
 		next += e.deltas[msHistory-period+i]
-		issueHW(p.port, &p.stats, next, page, now)
+		p.issue(next, page, now)
 	}
 }
 
@@ -555,6 +543,3 @@ func (p *multistridePrefetcher) Reset() {
 	p.table = [msEntries]msEntry{}
 	p.stats = HWStats{}
 }
-
-func (p *multistridePrefetcher) Stats() HWStats { return p.stats }
-func (p *multistridePrefetcher) ClearStats()    { p.stats = HWStats{} }

@@ -14,7 +14,8 @@ import (
 )
 
 // fakePort is a minimal HWPort for driving models directly: it records
-// every fill and serves presence from the recorded set.
+// every fill and serves presence from the recorded set. Its shifts are the
+// geometry newTestHW hands the model.
 type fakePort struct {
 	lineShift uint
 	pageShift uint
@@ -31,8 +32,11 @@ func (f *fakePort) FillL2(addr uint64, now uint64) {
 	f.fills = append(f.fills, addr)
 	f.present[addr>>f.lineShift] = true
 }
-func (f *fakePort) LineShift() uint { return f.lineShift }
-func (f *fakePort) PageShift() uint { return f.pageShift }
+
+// newTestHW constructs the named model over port, with port's geometry.
+func newTestHW(name string, port *fakePort) HWPrefetcher {
+	return newHWPrefetcher(name, hwBase{port: port, lineShift: port.lineShift, pageShift: port.pageShift})
+}
 
 func TestHWModelRegistry(t *testing.T) {
 	models := HWModels()
@@ -48,7 +52,7 @@ func TestHWModelRegistry(t *testing.T) {
 		if !ValidHWModel(name) {
 			t.Errorf("registered model %q not valid", name)
 		}
-		p := newHWPrefetcher(name, newFakePort(7, 12))
+		p := newTestHW(name, newFakePort(7, 12))
 		if p.Name() != name {
 			t.Errorf("newHWPrefetcher(%q).Name() = %q", name, p.Name())
 		}
@@ -59,7 +63,7 @@ func TestHWModelRegistry(t *testing.T) {
 	if ValidHWModel("sdram") {
 		t.Error("unknown model accepted")
 	}
-	if got := newHWPrefetcher("", newFakePort(7, 12)).Name(); got != DefaultHWModel {
+	if got := newTestHW("", newFakePort(7, 12)).Name(); got != DefaultHWModel {
 		t.Errorf("empty selector constructs %q, want %q", got, DefaultHWModel)
 	}
 	defer func() {
@@ -67,7 +71,7 @@ func TestHWModelRegistry(t *testing.T) {
 			t.Error("newHWPrefetcher with unknown name did not panic")
 		}
 	}()
-	newHWPrefetcher("sdram", newFakePort(7, 12))
+	newTestHW("sdram", newFakePort(7, 12))
 }
 
 // smallPageMachine is a Pentium4 variant with 1 KiB pages — a geometry on
@@ -91,8 +95,8 @@ func smallPageMachine() *arch.Machine {
 // prefetch crossed it).
 func TestHWRespectsConfiguredPageSize(t *testing.T) {
 	mem := New(smallPageMachine())
-	if got := mem.PageShift(); got != 10 {
-		t.Fatalf("PageShift() = %d, want 10 (1 KiB pages)", got)
+	if got := mem.stream.pageShift; got != 10 {
+		t.Fatalf("stream detector pageShift = %d, want 10 (1 KiB pages)", got)
 	}
 	// L2 lines are 128 B: page 0 is lines 0..7. Walk them in order; from
 	// the third reference on, the detector prefetches line+1, and the
@@ -181,7 +185,7 @@ func TestHWNeverCrossesPage(t *testing.T) {
 		model := model
 		t.Run(model, func(t *testing.T) {
 			port := newFakePort(7, 12)
-			p := newHWPrefetcher(model, port)
+			p := newTestHW(model, port)
 			seed := uint64(12345)
 			now := uint64(0)
 			for i := 0; i < 8_000; i++ {
@@ -223,7 +227,7 @@ func TestHWIgnoresPointerChasing(t *testing.T) {
 		model := model
 		t.Run(model, func(t *testing.T) {
 			port := newFakePort(7, 12)
-			p := newHWPrefetcher(model, port)
+			p := newTestHW(model, port)
 			// line i^2: consecutive deltas 2i+1 are strictly increasing, so
 			// no stride ever repeats and no period can establish.
 			for i := uint64(1); i < 400; i++ {
@@ -287,7 +291,7 @@ func TestResetBitIdentical(t *testing.T) {
 // ipstride entry stays Steady and issues on the very next reference).
 func TestClearStatsKeepsTrainedState(t *testing.T) {
 	port := newFakePort(7, 12)
-	p := newHWPrefetcher("ipstride", port)
+	p := newTestHW("ipstride", port)
 	// Establish a steady stride-1 stream on pc 1 within one page.
 	for i := uint64(0); i < 4; i++ {
 		p.Train(i<<7, 1, i)
@@ -347,8 +351,8 @@ func TestCheckInvariantsDetectsHWCorruption(t *testing.T) {
 // detectors, and expects it to start replaying the pattern.
 func TestMultistrideCompoundPattern(t *testing.T) {
 	port := newFakePort(7, 20) // huge pages so the pattern never crosses one
-	p := newHWPrefetcher("multistride", port)
-	single := newHWPrefetcher("ipstride", newFakePort(7, 20))
+	p := newTestHW("multistride", port)
+	single := newTestHW("ipstride", newFakePort(7, 20))
 	line := uint64(0)
 	for i := 0; i < 32; i++ {
 		if i%2 == 0 {
@@ -372,7 +376,7 @@ func TestMultistrideCompoundPattern(t *testing.T) {
 // allocates again), the freshest still predicts.
 func TestTrackerDequeEviction(t *testing.T) {
 	port := newFakePort(7, 20)
-	p := newHWPrefetcher("tracker", port).(*trackerPrefetcher)
+	p := newTestHW("tracker", port).(*trackerPrefetcher)
 	// One more site than capacity; each trains once.
 	for pc := uint64(1); pc <= trackerEntries+1; pc++ {
 		p.Train(pc<<16, pc, pc)

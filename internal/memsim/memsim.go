@@ -47,134 +47,122 @@ type Counters struct {
 	StoreStallCycles uint64
 }
 
-type line struct {
-	tag     uint64
-	valid   bool
-	readyAt uint64
-	lastUse uint64
-}
-
-// cache stores its lines in one flat slice — set s occupies the window
-// lines[s*assoc : (s+1)*assoc] — so a set lookup is a scan of adjacent
-// memory with no per-set slice header indirection. The set count is a
-// power of two (Table 2 machines), so indexing is a mask.
+// cache is one set-associative level with exact LRU replacement. Its
+// per-way state is kept as parallel arrays indexed by flat way number —
+// set s occupies ways [s*assoc, (s+1)*assoc) — so a set lookup scans only
+// the set's adjacent 4-byte tags (an 8-way set's take half a 64-byte host
+// cache line) and touches the rest of the way state only on a hit. The set
+// count is a power of two (Table 2 machines), so indexing is a mask.
 type cache struct {
-	lines     []line
+	// tags[i] is the key (tagKey) of the line held by way i, or 0 while
+	// the way has not been filled since the last flush.
+	tags []uint32
+	// ready[i] is the cycle at which way i's line arrives; lookup and
+	// probe return a pointer to it.
+	ready []uint64
+	// lru holds each set's exact recency order, set s's list (lru.go) in
+	// lru[s*(assoc+1) : (s+1)*(assoc+1)]. After a flush the list puts the
+	// unfilled ways last in index order, so the victim of a fill — the
+	// set's next unfilled way, else its least recently used line — is
+	// always the list's tail, found in O(1).
+	lru       []lruLink
 	assoc     uint64
 	lineShift uint
 	setMask   uint64
-	useTick   uint64
-	// mru[s] is the most-recently-hit way of set s — a pure lookup
-	// accelerator. Sequential access patterns hit the same line many times
-	// in a row, so checking this way first skips the associative scan;
-	// Table 2's fully-associative 64-entry Pentium 4 DTLB would otherwise
-	// pay a 64-way scan on every access. The hint never changes which line
-	// is returned, filled, or evicted.
-	mru []uint32
-	// memoTag/memoLine short-circuit a lookup of the same line as the most
-	// recent lookup hit or fill, skipping set indexing, the tick increment,
-	// and the lastUse write. Eliding those updates is unobservable: while
-	// the memo is live no other line's lastUse changes (any other hit or
-	// fill replaces the memo), and the memo line already holds the maximal
-	// lastUse in its set, so every future eviction decision (min lastUse)
-	// orders the set identically with or without the elided updates.
-	// useTick values are never compared across resets, only relatively, so
-	// the slower tick advance is equally unobservable. probe neither sets
-	// nor consults the memo — it never updates LRU state, so a memo set by
-	// it would wrongly stand in for a lookup's lastUse update.
-	memoTag  uint64
-	memoLine *line
-	// idx maps tag → flat line index for high-associativity geometries
+	// memoTag/memo short-circuit a lookup of the same line as the most
+	// recent lookup hit or fill, skipping the set search and the recency
+	// update. Eliding the update is unobservable: the memo line is the head
+	// of its set's recency list (the hit or fill that set the memo made it
+	// so, and any other hit or fill replaces the memo), and moving the head
+	// to the head leaves the order unchanged. probe neither sets nor
+	// consults the memo — it never updates the recency order, so a memo set
+	// by it could name a line that is not its set's head.
+	memoTag uint64
+	memo    *uint64
+	// idx maps tag → flat way index for high-associativity geometries
 	// (the fully associative 64-entry Pentium 4 DTLB, the 16-way Athlon MP
-	// L2), where the associative scan dominates lookup cost. It mirrors the
-	// (valid, tag) pairs exactly — lines change only in fill and flush, and
-	// both maintain it — so presence, LRU updates, and victim choice are
-	// bit-identical to the scan; only the search is O(1). nil for low
-	// associativity, where the adjacent-memory scan is already cheaper than
-	// hashing.
+	// L2), where the tag scan dominates lookup cost. It mirrors tags
+	// exactly — tags change only in fill and flush, and both maintain it —
+	// so presence and victim choice are identical to the scan; only the
+	// search is O(1). nil for low associativity, where the adjacent-memory
+	// scan is already cheaper than hashing.
 	idx *tagMap
 }
 
+// tagKey is how tags and the tag map store a line address: its
+// complement, so zeroed memory reads as empty and a flush is a plain
+// clear. No line address is all ones (simulated addresses are 32-bit and
+// lines at least 2 bytes), so no key is 0.
+func tagKey(tag uint64) uint32 { return ^uint32(tag) }
+
 // tagMap is a fixed-capacity open-addressing hash table (linear probing,
-// backward-shift deletion) from line tag to flat line index. A built-in map
+// backward-shift deletion) from tag key to flat line index. A built-in map
 // is not used because delete/insert churn makes it rehash — an allocation
 // on the simulation hot path, which the bench suite gates at zero.
 type tagMap struct {
-	entries []tagEntry
+	entries []tagEntry // key 0 marks a vacant slot
 	mask    uint64
 }
 
 type tagEntry struct {
-	tag uint64
+	key uint32
 	val uint32
 }
-
-// tagEmpty marks a vacant slot; line indices never reach it (caches are
-// far smaller than 4G lines).
-const tagEmpty = ^uint32(0)
 
 func newTagMap(lines int) *tagMap {
 	cap := uint64(4)
 	for cap < 2*uint64(lines) { // ≤50% load keeps probe chains short
 		cap <<= 1
 	}
-	m := &tagMap{entries: make([]tagEntry, cap), mask: cap - 1}
-	m.clear()
-	return m
+	return &tagMap{entries: make([]tagEntry, cap), mask: cap - 1}
 }
 
-func (m *tagMap) clear() {
-	for i := range m.entries {
-		m.entries[i] = tagEntry{val: tagEmpty}
-	}
+func (m *tagMap) slot(key uint32) uint64 {
+	// Fibonacci hashing; keys are dense low-entropy integers.
+	return (uint64(key) * 0x9E3779B97F4A7C15) >> 32 & m.mask
 }
 
-func (m *tagMap) slot(tag uint64) uint64 {
-	// Fibonacci hashing; line tags are dense low-entropy integers.
-	return (tag * 0x9E3779B97F4A7C15) >> 32 & m.mask
-}
-
-func (m *tagMap) get(tag uint64) (uint32, bool) {
-	for i := m.slot(tag); ; i = (i + 1) & m.mask {
+func (m *tagMap) get(key uint32) (uint32, bool) {
+	for i := m.slot(key); ; i = (i + 1) & m.mask {
 		e := m.entries[i]
-		if e.val == tagEmpty {
-			return 0, false
-		}
-		if e.tag == tag {
+		if e.key == key {
 			return e.val, true
 		}
+		if e.key == 0 {
+			return 0, false
+		}
 	}
 }
 
-// put inserts a tag not currently present (every fill is preceded by a
+// put inserts a key not currently present (every fill is preceded by a
 // miss, so duplicates cannot occur).
-func (m *tagMap) put(tag uint64, val uint32) {
-	i := m.slot(tag)
-	for m.entries[i].val != tagEmpty {
+func (m *tagMap) put(key uint32, val uint32) {
+	i := m.slot(key)
+	for m.entries[i].key != 0 {
 		i = (i + 1) & m.mask
 	}
-	m.entries[i] = tagEntry{tag: tag, val: val}
+	m.entries[i] = tagEntry{key: key, val: val}
 }
 
-// del removes a present tag, backward-shifting the probe chain so lookups
+// del removes a present key, backward-shifting the probe chain so lookups
 // never cross a stale vacancy.
-func (m *tagMap) del(tag uint64) {
-	i := m.slot(tag)
-	for m.entries[i].tag != tag || m.entries[i].val == tagEmpty {
+func (m *tagMap) del(key uint32) {
+	i := m.slot(key)
+	for m.entries[i].key != key {
 		i = (i + 1) & m.mask
 	}
 	for {
-		m.entries[i].val = tagEmpty
+		m.entries[i].key = 0
 		j := i
 		for {
 			j = (j + 1) & m.mask
 			e := m.entries[j]
-			if e.val == tagEmpty {
+			if e.key == 0 {
 				return
 			}
 			// e may move into the vacancy only if its home slot lies
 			// cyclically at or before the vacancy.
-			if (j-m.slot(e.tag))&m.mask >= (j-i)&m.mask {
+			if (j-m.slot(e.key))&m.mask >= (j-i)&m.mask {
 				m.entries[i] = e
 				i = j
 				break
@@ -187,122 +175,126 @@ func (m *tagMap) del(tag uint64) {
 // linear way scan to the tag index map.
 const idxMinAssoc = 16
 
-func newCache(p arch.CacheParams) *cache {
-	c := &cache{
-		lines:   make([]line, uint64(p.Sets())*uint64(p.Assoc)),
+// newCache builds an empty cache. Lines must be at least 2 bytes and
+// associativity at most maxWays.
+func newCache(p arch.CacheParams) cache {
+	if p.LineBytes < 2 || p.Assoc > maxWays {
+		panic(fmt.Sprintf("memsim: unsupported cache geometry %d B lines, %d ways", p.LineBytes, p.Assoc))
+	}
+	n := uint64(p.Sets()) * uint64(p.Assoc)
+	c := cache{
+		tags:    make([]uint32, n),
+		ready:   make([]uint64, n),
+		lru:     make([]lruLink, n+uint64(p.Sets())),
 		assoc:   uint64(p.Assoc),
 		setMask: uint64(p.Sets() - 1),
-		mru:     make([]uint32, p.Sets()),
 	}
 	for s := uint32(1); s < p.LineBytes; s <<= 1 {
 		c.lineShift++
 	}
 	if p.Assoc >= idxMinAssoc {
-		c.idx = newTagMap(len(c.lines))
+		c.idx = newTagMap(int(n))
 	}
+	c.resetLists()
 	return c
 }
 
-func (c *cache) index(addr uint64) (set uint64, tag uint64) {
-	lineAddr := addr >> c.lineShift
-	return lineAddr & c.setMask, lineAddr
+// resetLists puts every set's recency list in its initial order. Links
+// are set-relative, so every set's initial list is the same: reset the
+// first and copy it over the rest in doubling runs.
+func (c *cache) resetLists() {
+	c.list(0).reset()
+	for k := int(c.assoc + 1); k < len(c.lru); k *= 2 {
+		copy(c.lru[k:], c.lru[:k])
+	}
 }
 
-// lookup returns the line if present (updating LRU), else nil.
-func (c *cache) lookup(addr uint64) *line {
-	tag := addr >> c.lineShift
-	if h := c.memoLine; h != nil && c.memoTag == tag {
-		return h
-	}
-	c.useTick++
-	if c.idx != nil {
-		gi, ok := c.idx.get(tag)
-		if !ok {
-			return nil
-		}
-		h := &c.lines[gi]
-		h.lastUse = c.useTick
-		c.memoTag, c.memoLine = tag, h
-		return h
-	}
+// list returns set's recency list.
+func (c *cache) list(set uint64) lruList {
+	b := set * (c.assoc + 1)
+	return c.lru[b : b+c.assoc+1]
+}
+
+// find returns the flat way index holding tag, and whether that way is
+// its set's most recently used. It checks the set's head first: repeated
+// and alternating access patterns hit it far more often than any other
+// way, and the check costs neither the scan nor a hash.
+func (c *cache) find(tag uint64) (i uint64, head, ok bool) {
 	set := tag & c.setMask
 	base := set * c.assoc
-	if h := &c.lines[base+uint64(c.mru[set])]; h.valid && h.tag == tag {
-		h.lastUse = c.useTick
-		c.memoTag, c.memoLine = tag, h
-		return h
+	key := tagKey(tag)
+	if h := base + uint64(c.list(set)[c.assoc].next); c.tags[h] == key {
+		return h, true, true
 	}
-	ways := c.lines[base : base+c.assoc]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].lastUse = c.useTick
-			c.mru[set] = uint32(i)
-			c.memoTag, c.memoLine = tag, &ways[i]
-			return &ways[i]
+	if c.idx != nil {
+		w, ok := c.idx.get(key)
+		return uint64(w), false, ok
+	}
+	for w, t := range c.tags[base : base+c.assoc] {
+		if t == key {
+			return base + uint64(w), false, true
 		}
 	}
-	return nil
+	return 0, false, false
 }
 
-// probe is lookup without LRU update (used by prefetch presence checks).
-func (c *cache) probe(addr uint64) *line {
-	set, tag := c.index(addr)
-	if c.idx != nil {
-		if gi, ok := c.idx.get(tag); ok {
-			return &c.lines[gi]
-		}
+// lookup returns the arrival time of addr's line if present, making the
+// line its set's most recently used, else nil.
+func (c *cache) lookup(addr uint64) *uint64 {
+	tag := addr >> c.lineShift
+	if r := c.memo; r != nil && c.memoTag == tag {
+		return r
+	}
+	i, head, ok := c.find(tag)
+	if !ok {
 		return nil
 	}
-	base := set * c.assoc
-	if h := &c.lines[base+uint64(c.mru[set])]; h.valid && h.tag == tag {
-		return h
+	if !head {
+		set := tag & c.setMask
+		c.list(set).touch(uint8(i - set*c.assoc))
 	}
-	ways := c.lines[base : base+c.assoc]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			c.mru[set] = uint32(i)
-			return &ways[i]
-		}
+	r := &c.ready[i]
+	c.memoTag, c.memo = tag, r
+	return r
+}
+
+// probe is lookup without the recency update (used by prefetch presence
+// checks); it writes nothing.
+func (c *cache) probe(addr uint64) *uint64 {
+	if i, _, ok := c.find(addr >> c.lineShift); ok {
+		return &c.ready[i]
 	}
 	return nil
 }
 
-// fill installs addr's line with the given arrival time, evicting LRU.
-func (c *cache) fill(addr uint64, readyAt uint64) *line {
-	set, tag := c.index(addr)
-	c.useTick++
-	ways := c.lines[set*c.assoc : (set+1)*c.assoc]
-	victim := 0
-	for i := range ways {
-		if !ways[i].valid {
-			victim = i
-			break
-		}
-		if ways[i].lastUse < ways[victim].lastUse {
-			victim = i
-		}
-	}
+// fill installs addr's line, which must be absent, with the given arrival
+// time into its set's next unfilled way, else over its LRU line.
+func (c *cache) fill(addr uint64, readyAt uint64) {
+	tag := addr >> c.lineShift
+	set := tag & c.setMask
+	i := set*c.assoc + uint64(c.list(set).take())
+	key := tagKey(tag)
 	if c.idx != nil {
-		if ways[victim].valid {
-			c.idx.del(ways[victim].tag)
+		if c.tags[i] != 0 {
+			c.idx.del(c.tags[i])
 		}
-		c.idx.put(tag, uint32(set*c.assoc)+uint32(victim))
+		c.idx.put(key, uint32(i))
 	}
-	ways[victim] = line{tag: tag, valid: true, readyAt: readyAt, lastUse: c.useTick}
-	c.mru[set] = uint32(victim)
-	// The fill may have evicted the memo line's tag; repointing the memo at
-	// the freshly filled line keeps it truthful without a separate check.
-	c.memoTag, c.memoLine = tag, &ways[victim]
-	return &ways[victim]
+	c.tags[i] = key
+	c.ready[i] = readyAt
+	// The fill may have evicted the memo line; repointing the memo at the
+	// freshly filled line, now its set's head, keeps it truthful.
+	c.memoTag, c.memo = tag, &c.ready[i]
 }
 
+// flush empties the cache.
 func (c *cache) flush() {
-	clear(c.lines)
-	clear(c.mru)
-	c.useTick = 0
-	c.memoTag, c.memoLine = 0, nil
+	clear(c.tags)
+	clear(c.ready)
+	c.resetLists()
+	c.memoTag, c.memo = 0, nil
 	if c.idx != nil {
-		c.idx.clear()
+		clear(c.idx.entries)
 	}
 }
 
@@ -310,8 +302,8 @@ func (c *cache) flush() {
 type Memory struct {
 	Arch *arch.Machine
 
-	l1, l2 *cache
-	tlb    *cache // reuses the cache structure with page-size lines
+	l1, l2 cache
+	tlb    cache // reuses the cache structure with page-size lines
 
 	C Counters
 
@@ -329,9 +321,6 @@ type Memory struct {
 	// no more allocations than before the prefetcher became pluggable
 	// (the bench suite gates allocs/op at zero growth).
 	stream streamPrefetcher
-	// pageShift is log2 of Arch.DTLB.PageSize — the page geometry every
-	// hardware prefetcher must respect.
-	pageShift uint
 	// l1Hit caches Arch.L1HitCycles one pointer hop closer for the inline
 	// hit lane (fastlane.go), which budgets every load it makes.
 	l1Hit uint64
@@ -347,29 +336,33 @@ type Memory struct {
 // detector); an unknown model name panics — validate with ValidHWModel at
 // the flag/spec boundary.
 func New(m *arch.Machine) *Memory {
-	tlbParams := arch.CacheParams{
-		SizeBytes: m.DTLB.Entries * m.DTLB.PageSize,
-		LineBytes: m.DTLB.PageSize,
-		Assoc:     m.DTLB.Assoc,
-	}
 	mem := &Memory{
 		Arch:     m,
 		l1:       newCache(m.L1D),
 		l2:       newCache(m.L2U),
-		tlb:      newCache(tlbParams),
+		tlb:      newCache(dtlbGeometry(m)),
 		inflight: make([]uint64, 0, m.PrefetchQueue),
 		l1Hit:    m.L1HitCycles,
 	}
-	for s := uint32(1); s < m.DTLB.PageSize; s <<= 1 {
-		mem.pageShift++
-	}
+	// Every model trains on L2 lines and stops at the DTLB's pages.
+	b := hwBase{port: mem, lineShift: mem.l2.lineShift, pageShift: mem.tlb.lineShift}
 	if m.HWPrefetcher == "" || m.HWPrefetcher == DefaultHWModel {
-		mem.stream.port = mem
+		mem.stream.hwBase = b
+		mem.stream.Reset()
 		mem.hw = &mem.stream
 	} else {
-		mem.hw = newHWPrefetcher(m.HWPrefetcher, mem)
+		mem.hw = newHWPrefetcher(m.HWPrefetcher, b)
 	}
 	return mem
+}
+
+// dtlbGeometry describes m's DTLB as a cache whose lines are pages.
+func dtlbGeometry(m *arch.Machine) arch.CacheParams {
+	return arch.CacheParams{
+		SizeBytes: m.DTLB.Entries * m.DTLB.PageSize,
+		LineBytes: m.DTLB.PageSize,
+		Assoc:     m.DTLB.Assoc,
+	}
 }
 
 // Reset clears all cache, TLB, counter, and hardware-prefetcher state; a
@@ -399,12 +392,6 @@ func (mem *Memory) FillL2(addr uint64, now uint64) {
 	mem.C.HWPrefetches++
 	mem.l2.fill(addr, now+mem.Arch.L2HitCycles+mem.Arch.MemCycles)
 }
-
-// LineShift implements HWPort (the L2 line granule the units train on).
-func (mem *Memory) LineShift() uint { return mem.l2.lineShift }
-
-// PageShift implements HWPort.
-func (mem *Memory) PageShift() uint { return mem.pageShift }
 
 // ResetCounters clears counters but keeps cache contents and trained
 // prefetcher state (used between a warmup run and a measured run); the
@@ -532,11 +519,11 @@ func (mem *Memory) tlbAccess(addr uint64, fill bool) (miss bool) {
 // charged at 1/overlapDiv.
 const overlapDiv = 4
 
-// extraWait returns the visible remaining wait if the line is present but
-// still arriving.
-func extraWait(l *line, now uint64) uint64 {
-	if l.readyAt > now {
-		return (l.readyAt - now) / overlapDiv
+// extraWait returns the visible remaining wait for a present line that
+// arrives at readyAt.
+func extraWait(readyAt, now uint64) uint64 {
+	if readyAt > now {
+		return (readyAt - now) / overlapDiv
 	}
 	return 0
 }
@@ -568,14 +555,14 @@ func (mem *Memory) LoadAt(addr uint32, size uint32, now uint64, pc uint64) uint6
 		stall += a.DTLBMissCycles
 	}
 	if l := mem.l1.lookup(uint64(addr)); l != nil {
-		stall += extraWait(l, now)
+		stall += extraWait(*l, now)
 		mem.C.LoadStallCycles += stall
 		return stall
 	}
 	mem.C.L1LoadMisses++
 	mem.hw.Train(uint64(addr), pc, now)
 	if l := mem.l2.lookup(uint64(addr)); l != nil {
-		stall += a.L2HitCycles + extraWait(l, now)
+		stall += a.L2HitCycles + extraWait(*l, now)
 		mem.fillL1(uint64(addr), now+stall)
 		mem.C.LoadStallCycles += stall
 		return stall
@@ -600,14 +587,14 @@ func (mem *Memory) Store(addr uint32, size uint32, now uint64) uint64 {
 		stall += a.DTLBMissCycles
 	}
 	if l := mem.l1.lookup(uint64(addr)); l != nil {
-		stall += extraWait(l, now)
+		stall += extraWait(*l, now)
 		stall /= a.StoreFactor
 		mem.C.StoreStallCycles += stall
 		return stall
 	}
 	mem.C.L1StoreMisses++
 	if l := mem.l2.lookup(uint64(addr)); l != nil {
-		stall += a.L2HitCycles + extraWait(l, now)
+		stall += a.L2HitCycles + extraWait(*l, now)
 		mem.fillL1(uint64(addr), now+stall)
 		stall /= a.StoreFactor
 		mem.C.StoreStallCycles += stall
@@ -684,10 +671,10 @@ func (mem *Memory) Prefetch(addr uint32, guarded bool, now uint64) telemetry.Pre
 	var lat uint64
 	if l2line != nil {
 		lat = a.L2HitCycles
-		if l2line.readyAt > now {
+		if *l2line > now {
 			// The L2 copy is itself still in flight; data cannot reach the
 			// L1 before it arrives.
-			lat += l2line.readyAt - now
+			lat += *l2line - now
 		}
 	} else {
 		lat = a.L2HitCycles + a.MemCycles

@@ -4,7 +4,9 @@
 package memsim
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"strider/internal/arch"
@@ -42,81 +44,156 @@ func TestLRUNeverEvictsMRU(t *testing.T) {
 	}
 }
 
-// TestLRUMatchesShadowModel fuzzes fill/lookup sequences against a plain
-// recency-list model of every set.
+// lruGeometries lists every cache and DTLB geometry of both evaluation
+// machines (2-, 4-, 8-, 16- and 64-way), plus a direct-mapped one.
+func lruGeometries() map[string]arch.CacheParams {
+	g := map[string]arch.CacheParams{
+		"direct-mapped": {SizeBytes: 1 << 10, LineBytes: 64, Assoc: 1},
+	}
+	for _, m := range arch.Machines() {
+		g[m.Name+"/L1D"] = m.L1D
+		g[m.Name+"/L2U"] = m.L2U
+		g[m.Name+"/DTLB"] = dtlbGeometry(m)
+	}
+	return g
+}
+
+// TestLRUMatchesShadowModel fuzzes lookup/probe/fill/flush sequences on
+// every geometry, with and without the tag index, against a plain
+// recency-list model of every set. After each operation the set holds
+// exactly the shadow's tags in the shadow's recency order, and every fill
+// of a full set evicts the shadow's least recently used tag (a fill of a
+// set with room evicts nothing).
 func TestLRUMatchesShadowModel(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42, 1234} {
-		rng := rand.New(rand.NewSource(seed))
-		p := arch.CacheParams{SizeBytes: 1024, LineBytes: 64, Assoc: 4}
-		c := newCache(p)
-		sets := int(p.Sets())
-		assoc := int(p.Assoc)
-
-		// shadow[s] holds the tags of set s, most recent first.
-		shadow := make([][]uint64, sets)
-		touch := func(s int, tag uint64, insert bool) {
-			list := shadow[s]
-			for i, v := range list {
-				if v == tag {
-					shadow[s] = append([]uint64{tag}, append(list[:i:i], list[i+1:]...)...)
-					return
+	for name, p := range lruGeometries() {
+		for _, indexed := range []bool{false, true} {
+			p := p
+			t.Run(fmt.Sprintf("%s/%d-way/index=%v", name, p.Assoc, indexed), func(t *testing.T) {
+				for _, seed := range []int64{1, 7, 42, 1234} {
+					checkLRUShadow(t, p, indexed, seed)
 				}
-			}
-			if !insert {
-				return
-			}
-			list = append([]uint64{tag}, list...)
-			if len(list) > assoc {
-				list = list[:assoc]
-			}
-			shadow[s] = list
+			})
 		}
-		contains := func(s int, tag uint64) bool {
-			for _, v := range shadow[s] {
-				if v == tag {
-					return true
-				}
-			}
-			return false
-		}
+	}
+}
 
-		for op := 0; op < 4000; op++ {
-			// 16 distinct lines per set guarantee conflict pressure.
-			tagIdx := uint64(rng.Intn(16))
-			set := rng.Intn(sets)
-			addr := (tagIdx*uint64(sets) + uint64(set)) * 64
-			wantSet, wantTag := c.index(addr)
-			if int(wantSet) != set {
-				t.Fatalf("seed %d: address construction wrong: set %d != %d", seed, wantSet, set)
+func checkLRUShadow(t *testing.T, p arch.CacheParams, indexed bool, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	c := newCache(p)
+	if indexed && c.idx == nil {
+		c.idx = newTagMap(len(c.tags))
+	} else if !indexed {
+		c.idx = nil
+	}
+	sets := uint64(p.Sets())
+	assoc := int(p.Assoc)
+	// A few sets — the first, the last and one between — each with twice
+	// its associativity in distinct lines, keep every set under conflict
+	// pressure however many sets the geometry has.
+	active := []uint64{0, sets / 2, sets - 1}
+	lines := uint64(2*assoc + 2)
+
+	// shadow[s] holds the tags of set s, most recent first.
+	shadow := map[uint64][]uint64{}
+	indexOf := func(s, tag uint64) int {
+		for i, v := range shadow[s] {
+			if v == tag {
+				return i
 			}
-			if rng.Intn(2) == 0 {
-				got := c.lookup(addr) != nil
-				want := contains(set, wantTag)
-				if got != want {
-					t.Fatalf("seed %d op %d: lookup(set %d, tag %d) = %v, shadow says %v",
-						seed, op, set, wantTag, got, want)
+		}
+		return -1
+	}
+	touch := func(s uint64, i int) {
+		list := shadow[s]
+		tag := list[i]
+		copy(list[1:i+1], list[:i])
+		list[0] = tag
+	}
+	// order walks set s's recency list from the head; the unfilled ways
+	// must all come after the filled ones.
+	order := func(s uint64) []uint64 {
+		l := c.list(s)
+		base := s * c.assoc
+		var got []uint64
+		empty := 0
+		for w := l[assoc].next; int(w) != assoc; w = l[w].next {
+			key := c.tags[base+uint64(w)]
+			if key == 0 {
+				empty++
+				continue
+			}
+			if empty > 0 {
+				t.Fatalf("seed %d set %d: filled way %d listed after an unfilled one", seed, s, w)
+			}
+			got = append(got, uint64(^key))
+		}
+		if len(got)+empty != assoc {
+			t.Fatalf("seed %d set %d: list holds %d ways, want %d", seed, s, len(got)+empty, assoc)
+		}
+		return got
+	}
+
+	ops := 2000 + 100*assoc
+	for op := 0; op < ops; op++ {
+		set := active[rng.Intn(len(active))]
+		tag := uint64(rng.Int63n(int64(lines)))*sets + set
+		addr := tag << c.lineShift
+		where := fmt.Sprintf("seed %d op %d set %d tag %d", seed, op, set, tag)
+		i := indexOf(set, tag)
+		switch r := rng.Intn(100); {
+		case r == 0:
+			c.flush()
+			shadow = map[uint64][]uint64{}
+			continue
+		case r < 30:
+			if got := c.probe(addr) != nil; got != (i >= 0) {
+				t.Fatalf("%s: probe = %v, shadow says %v", where, got, i >= 0)
+			}
+		case r < 65:
+			if got := c.lookup(addr) != nil; got != (i >= 0) {
+				t.Fatalf("%s: lookup = %v, shadow says %v", where, got, i >= 0)
+			}
+			if i >= 0 {
+				touch(set, i)
+			}
+		default:
+			if i >= 0 {
+				// The simulator never fills a resident line (every caller
+				// looks up first), so model this case as a recency touch.
+				c.lookup(addr)
+				touch(set, i)
+				break
+			}
+			before := append([]uint64(nil), shadow[set]...)
+			c.fill(addr, uint64(op))
+			if len(before) == assoc {
+				lru := before[assoc-1]
+				if c.probe(lru<<c.lineShift) != nil {
+					t.Fatalf("%s: fill of a full set kept the LRU tag %d", where, lru)
 				}
-				if got {
-					touch(set, wantTag, false)
-				}
-			} else {
-				if contains(set, wantTag) {
-					// The simulator never fills a resident line (every caller
-					// probes first), so model this case as a recency touch.
-					c.lookup(addr)
-					touch(set, wantTag, false)
-				} else {
-					c.fill(addr, 0)
-					touch(set, wantTag, true)
+				before = before[:assoc-1]
+			}
+			shadow[set] = append([]uint64{tag}, before...)
+		}
+		// The real set and the shadow set agree exactly, in content and in
+		// recency order.
+		want := shadow[set]
+		if got := order(set); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+			t.Fatalf("%s: recency order %v, shadow %v", where, got, want)
+		}
+		base := set * c.assoc
+		resident := 0
+		for _, key := range c.tags[base : base+c.assoc] {
+			if key != 0 {
+				resident++
+				if indexOf(set, uint64(^key)) < 0 {
+					t.Fatalf("%s: set holds tag %d the shadow evicted", where, ^key)
 				}
 			}
-			// The shadow set and the real set must agree exactly.
-			for _, tag := range shadow[set] {
-				if c.probe(tag<<c.lineShift) == nil {
-					t.Fatalf("seed %d op %d: shadow tag %d missing from cache set %d",
-						seed, op, tag, set)
-				}
-			}
+		}
+		if resident != len(want) {
+			t.Fatalf("%s: set holds %d lines, shadow %d", where, resident, len(want))
 		}
 	}
 }
