@@ -103,8 +103,8 @@ func TestListMode(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exit = %d\nstderr:\n%s", code, &stderr)
 	}
-	for _, want := range []string{"vm/jess-small", "memsim/stride-sweep", "grid/compress-small-3modes",
-		"exec/jess-small-interp", "exec/jess-small-compiled"} {
+	for _, want := range []string{"vm/jess-small", "memsim/stride-sweep", "memsim/hitlane",
+		"grid/compress-small-3modes"} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("-list output missing %s:\n%s", want, &stdout)
 		}
@@ -144,10 +144,10 @@ func TestProfileFlags(t *testing.T) {
 // entry set on stderr, before any measurement runs.
 func TestRunSelectorValidation(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-run", "exec/jess-small-compield"}, &stdout, &stderr); code != 2 {
+	if code := run([]string{"-run", "memsim/hitlnae"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("exit = %d, want 2", code)
 	}
-	for _, want := range []string{"matches no suite entries", "exec/jess-small-compiled", "vm/jess-small"} {
+	for _, want := range []string{"matches no suite entries", "memsim/hitlane", "vm/jess-small"} {
 		if !strings.Contains(stderr.String(), want) {
 			t.Errorf("stderr missing %q:\n%s", want, &stderr)
 		}

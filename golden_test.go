@@ -22,13 +22,6 @@ var update = flag.Bool("update", false, "rewrite the golden decision logs")
 // pgo]" reason-code markers that distinguish statically predicted and
 // profile-replayed emits from dynamically inspected ones.
 //
-// The compiled execution backend replays every golden cell and must
-// reproduce the exact same bytes — the decision trace is part of the
-// semantic surface the threaded-code tier may not move. The compiled
-// legs never write goldens (-update runs the interpreted legs only), so
-// the assertion is always interp-authored bytes vs compiled-produced
-// bytes.
-//
 // Regenerate after an intended change with:
 //
 //	go test -run TestGoldenDecisionTraces -update .
@@ -38,47 +31,38 @@ func TestGoldenDecisionTraces(t *testing.T) {
 	}
 	for _, machine := range []string{"Pentium4", "AthlonMP"} {
 		for _, p := range predicts {
-			for _, exec := range []string{"", "compiled"} {
-				p, exec := p, exec
-				name := machine
-				if p.predict != "" {
-					name += "/" + p.predict
+			name := machine
+			if p.predict != "" {
+				name += "/" + p.predict
+			}
+			t.Run(name, func(t *testing.T) {
+				log, err := Explain(Spec{
+					Workload: "jess", Size: SizeSmall, Machine: machine, Mode: InterIntra,
+					Predict: p.predict,
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				if exec != "" {
-					name += "/exec=" + exec
-				}
-				t.Run(name, func(t *testing.T) {
-					log, err := Explain(Spec{
-						Workload: "jess", Size: SizeSmall, Machine: machine, Mode: InterIntra,
-						Predict: p.predict, Exec: exec,
-					})
-					if err != nil {
+				golden := filepath.Join("testdata", "golden",
+					fmt.Sprintf("jess_small_%s_interintra%s.log", strings.ToLower(machine), p.suffix))
+				if *update {
+					if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 						t.Fatal(err)
 					}
-					golden := filepath.Join("testdata", "golden",
-						fmt.Sprintf("jess_small_%s_interintra%s.log", strings.ToLower(machine), p.suffix))
-					if *update {
-						if exec != "" {
-							return
-						}
-						if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-							t.Fatal(err)
-						}
-						if err := os.WriteFile(golden, []byte(log), 0o644); err != nil {
-							t.Fatal(err)
-						}
-						return
+					if err := os.WriteFile(golden, []byte(log), 0o644); err != nil {
+						t.Fatal(err)
 					}
-					want, err := os.ReadFile(golden)
-					if err != nil {
-						t.Fatalf("%v (run with -update to create it)", err)
-					}
-					if log != string(want) {
-						t.Errorf("decision log diverged from %s (rerun with -update if intended):\n%s",
-							golden, diffLines(string(want), log))
-					}
-				})
-			}
+					return
+				}
+				want, err := os.ReadFile(golden)
+				if err != nil {
+					t.Fatalf("%v (run with -update to create it)", err)
+				}
+				if log != string(want) {
+					t.Errorf("decision log diverged from %s (rerun with -update if intended):\n%s",
+						golden, diffLines(string(want), log))
+				}
+			})
 		}
 	}
 }

@@ -82,18 +82,6 @@ func Suite() []Entry {
 			}, nil
 		}},
 
-		// The execution tier isolated: the same steady-state jess run on
-		// the interpreter's step loop and on the threaded-code compiled
-		// tier (internal/compile), with the memory hierarchy replaced by a
-		// zero-latency model so host time measures instruction execution
-		// rather than cache simulation (which both backends share
-		// unchanged). The pair's Work signatures must be identical — the
-		// backends simulate the same machine-level work — and the compiled
-		// entry's ns/op is the tentpole's headline: the threaded tier must
-		// hold a >=2x step over the interpreted twin.
-		execEntry("exec/jess-small-interp", vm.ExecInterp),
-		execEntry("exec/jess-small-compiled", vm.ExecCompiled),
-
 		// The cache/TLB model alone: a strided load/store sweep with a
 		// pointer-chase-like reuse pattern, no interpreter in the loop.
 		// Deliberately pc-less (mem.Load): the default machine's hw model
@@ -126,8 +114,8 @@ func Suite() []Entry {
 			}, nil
 		}},
 
-		// The tentpole's inline hit lane in isolation: the same hierarchy
-		// as stride-sweep, driven the way a specialized engine drives it —
+		// The inline hit lane in isolation: the same hierarchy as
+		// stride-sweep, driven the way the interpreter drives it —
 		// LoadHit/StoreHit probe first, full LoadAt/Store only on a bail —
 		// over a dense walk (sixteen 4-byte touches per 64-byte line) so
 		// the probes' completed path dominates. One Memory is reused across
@@ -319,49 +307,6 @@ func hwEntry(name, model string) Entry {
 			}
 			hw := mem.HWStats()
 			return Work{Cycles: now, Instructions: mem.C.Loads, Checksum: hw.Issued ^ hw.Trains<<32}, nil
-		}, nil
-	}}
-}
-
-// flatMem is the zero-latency memory model the exec/* pair runs over:
-// loads and stores complete instantly and prefetches report a fill. It
-// keeps the architectural semantics (same values, same control flow,
-// same retirement counts) while taking the — backend-independent —
-// cache simulation out of the timed loop.
-type flatMem struct{}
-
-func (flatMem) LoadAt(addr, size uint32, now uint64, pc uint64) uint64 { return 0 }
-func (flatMem) Store(addr, size uint32, now uint64) uint64             { return 0 }
-func (flatMem) Prefetch(addr uint32, guarded bool, now uint64) telemetry.PrefetchOutcome {
-	return telemetry.PrefetchFetched
-}
-
-// execEntry builds one side of the execution-tier pair: a steady-state
-// jess run (one VM, JIT warmed, ResetRun between iterations) on the
-// given backend over the zero-latency memory model.
-func execEntry(name string, exec vm.Exec) Entry {
-	return Entry{Name: name, Make: func() (func() (Work, error), error) {
-		w, err := workloads.ByName("jess")
-		if err != nil {
-			return nil, err
-		}
-		prog := w.Build(workloads.SizeSmall)
-		v := vm.New(prog, vm.Config{Machine: arch.Pentium4(), Mode: jit.InterIntra, HeapBytes: w.HeapBytes, Exec: exec})
-		// SetMem, not a field write: it unpins the engine's devirtualized
-		// fast lane along with the model, so every access really dispatches
-		// through flatMem.
-		v.Engine.SetMem(flatMem{})
-		// One untimed run so the JIT reaches steady state.
-		if _, err := v.Run(nil); err != nil {
-			return nil, err
-		}
-		return func() (Work, error) {
-			v.ResetRun()
-			s, err := v.Run(nil)
-			if err != nil {
-				return Work{}, err
-			}
-			return Work{Cycles: s.Cycles, Instructions: s.Instructions, Checksum: s.Checksum}, nil
 		}, nil
 	}}
 }

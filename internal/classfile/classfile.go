@@ -261,25 +261,6 @@ func (u *Universe) GetStatic(f *Field) value.Value {
 	return u.staticVals[i]
 }
 
-// StaticIndex returns the dense slot index of a static field (panicking
-// for non-statics). Slot indices are assigned at class-definition time and
-// stable for the life of the universe, so a compile-time resolution of a
-// static access can skip the map on every execution.
-func (u *Universe) StaticIndex(f *Field) int {
-	i, ok := u.staticsByKey[f]
-	if !ok {
-		panic("classfile: not a static field: " + f.QName())
-	}
-	return i
-}
-
-// StaticAt returns the value of the static slot at index i (see
-// StaticIndex).
-func (u *Universe) StaticAt(i int) value.Value { return u.staticVals[i] }
-
-// SetStaticAt sets the static slot at index i (see StaticIndex).
-func (u *Universe) SetStaticAt(i int, v value.Value) { u.staticVals[i] = v }
-
 // SetStatic sets the value of a static field.
 func (u *Universe) SetStatic(f *Field, v value.Value) {
 	i, ok := u.staticsByKey[f]

@@ -12,8 +12,6 @@ package interp
 import (
 	"errors"
 	"fmt"
-	"os"
-
 	"sort"
 
 	"strider/internal/arch"
@@ -25,40 +23,11 @@ import (
 	"strider/internal/value"
 )
 
-// MemModel is the memory-hierarchy interface the engine drives
-// (implemented by memsim.Memory). LoadAt carries the load-site pc —
-// (method index << 16) | instruction index — which pc-indexed hardware
-// prefetchers key their prediction tables on; stores and software
-// prefetches do not train those tables and carry no site. Prefetch
-// reports what became of the request so outcomes can be attributed to the
-// emitting site.
-type MemModel interface {
-	LoadAt(addr, size uint32, now uint64, pc uint64) uint64
-	Store(addr, size uint32, now uint64) uint64
-	Prefetch(addr uint32, guarded bool, now uint64) telemetry.PrefetchOutcome
-}
-
 // Code is an executable method body as chosen by the dispatcher.
 type Code struct {
 	Instrs   []ir.Instr
 	NumRegs  int
 	Compiled bool
-
-	// Threaded, when non-nil, is the method's pre-decoded micro-op stream
-	// (built by internal/compile at JIT compile time). Run steps it in
-	// place of the interpreter loop; Instrs stays authoritative for trap
-	// attribution and for frames that predate the artifact.
-	Threaded ThreadedCode
-}
-
-// ThreadedCode executes activations of one method from a pre-decoded
-// representation. Step has the exact contract of the interpreter's step:
-// execute the top frame f until it returns (done=true with the return
-// value), calls (a new frame pushed, done=false), or traps (err non-nil
-// with f.PC at the faulting instruction, so Run's RuntimeError wrapping
-// attributes it identically).
-type ThreadedCode interface {
-	Step(e *Engine, f *Frame) (value.Value, bool, error)
 }
 
 // Dispatcher resolves each invocation to executable code, JIT-compiling as
@@ -99,10 +68,8 @@ const MaxFrames = 1024
 // DefaultMaxInstructions bounds runaway programs.
 const DefaultMaxInstructions = 4_000_000_000
 
-// Frame is one activation record. Its fields are exported so the compiled
-// execution tier (internal/compile) can run activations of the same stack;
-// VM-internal invariants (fixed backing array, register reuse) are owned by
-// push and Run.
+// Frame is one activation record. Its invariants (fixed backing array,
+// register reuse) are owned by push and Run.
 type Frame struct {
 	M        *ir.Method
 	Code     []ir.Instr
@@ -110,11 +77,6 @@ type Frame struct {
 	PC       int
 	Regs     []value.Value
 	RetReg   ir.Reg // caller register receiving the return value
-
-	// threaded is the frame's pre-decoded micro-op executor, set at push
-	// time when the dispatched Code carries one; Run steps it instead of
-	// the interpreter loop.
-	threaded ThreadedCode
 }
 
 // Stats is the engine's cycle and event accounting for one run.
@@ -133,7 +95,7 @@ type Stats struct {
 type Engine struct {
 	Prog    *ir.Program
 	Heap    *heap.Heap
-	Mem     MemModel
+	Mem     *memsim.Memory
 	Disp    Dispatcher
 	Machine *arch.Machine
 
@@ -150,24 +112,13 @@ type Engine struct {
 	// instruction and zero allocations.
 	Rec telemetry.Recorder
 
+	// OnLoad, when non-nil, observes every demand load (address and size)
+	// in program order, before the access reaches Mem. Software prefetches
+	// and speculative loads are not demand loads and are not reported. The
+	// oracle differ digests the load stream through it.
+	OnLoad func(addr, size uint32)
+
 	S Stats
-
-	// ExecScratch is opaque per-engine scratch storage for a ThreadedCode
-	// implementation. The compiled tier parks its reusable thread state
-	// here so steady-state Step calls allocate nothing; the engine never
-	// reads it.
-	ExecScratch any
-
-	// fastMem pins Mem's concrete type when it is the standard simulator,
-	// enabling the devirtualized inline-probe hit lane at the engine's
-	// memory-access sites (and the compiled tier's, via FastMem): probe
-	// memsim.LoadHit/StoreHit inline, fall into the full access as a
-	// direct — not interface — call. nil routes every access through the
-	// MemModel interface: any other model (oracle taps, test doubles, flat
-	// memory), a configuration FastLaneOK excludes, or the
-	// STRIDER_NO_FASTLANE escape hatch. Derived by SetMem; the lane choice
-	// is made once at wiring, never per access.
-	fastMem *memsim.Memory
 
 	// frames is the activation stack. It is a value slice with capacity
 	// MaxFrames fixed at creation, so frame pointers handed to step stay
@@ -193,41 +144,14 @@ type siteAgg struct {
 }
 
 // New creates an engine.
-func New(prog *ir.Program, h *heap.Heap, mem MemModel, disp Dispatcher, m *arch.Machine) *Engine {
-	e := &Engine{
-		Prog: prog, Heap: h, Disp: disp, Machine: m,
+func New(prog *ir.Program, h *heap.Heap, mem *memsim.Memory, disp Dispatcher, m *arch.Machine) *Engine {
+	return &Engine{
+		Prog: prog, Heap: h, Mem: mem, Disp: disp, Machine: m,
 		MaxInstructions: DefaultMaxInstructions,
 		ChargeGC:        true,
 		frames:          make([]Frame, 0, MaxFrames),
 	}
-	e.SetMem(mem)
-	return e
 }
-
-// SetMem installs the memory model and re-derives the fast-lane pinning.
-// Every reassignment of the engine's memory model must go through here —
-// writing the Mem field directly would leave a previously pinned backend
-// receiving the hot-path accesses behind the new model's back.
-func (e *Engine) SetMem(m MemModel) {
-	e.Mem = m
-	e.fastMem = nil
-	if fm, ok := m.(*memsim.Memory); ok && fm.FastLaneOK() && !fastLaneDisabled() {
-		e.fastMem = fm
-	}
-}
-
-// FastMem returns the pinned concrete memory simulator, or nil when
-// accesses must take the MemModel interface path. The compiled tier
-// routes its memory micro-ops through it exactly like step does.
-func (e *Engine) FastMem() *memsim.Memory { return e.fastMem }
-
-// fastLaneDisabled reports the STRIDER_NO_FASTLANE escape hatch: any
-// non-empty value forces every access through the fully general interface
-// path. Read at SetMem time — once per engine wiring — so tests can flip
-// it with t.Setenv and CI can prove lane choice is unobservable by
-// diffing a forced-slow full experiments pass against the committed
-// outputs.
-func fastLaneDisabled() bool { return os.Getenv("STRIDER_NO_FASTLANE") != "" }
 
 // ResetStats clears the per-run statistics and the site attribution.
 func (e *Engine) ResetStats() {
@@ -317,7 +241,6 @@ func (e *Engine) push(m *ir.Method, args []value.Value, retReg ir.Reg) error {
 	f.M = m
 	f.Code = code.Instrs
 	f.Compiled = code.Compiled
-	f.threaded = code.Threaded
 	f.PC = 0
 	f.RetReg = retReg
 	if cap(f.Regs) >= code.NumRegs {
@@ -389,20 +312,15 @@ func (e *Engine) allocArray(k value.Kind, n uint32) (uint32, error) {
 // touchAlloc models the zeroing writes of allocation: one store per cache
 // line of the new object. Line-stepping writes miss the single-line memo
 // on every step, so only the first store of each line can complete in the
-// hit lane — the probe still saves the interface dispatch on it.
+// hit lane.
 func (e *Engine) touchAlloc(addr, size uint32) {
 	e.S.AllocBytes += uint64(size)
 	line := e.lineBytes()
-	fm := e.fastMem
+	mem := e.Mem
 	for off := uint32(0); off < size; off += line {
-		var stall uint64
-		if fm != nil {
-			var hit bool
-			if stall, hit = fm.StoreHit(addr+off, e.S.Cycles); !hit {
-				stall = fm.Store(addr+off, 4, e.S.Cycles)
-			}
-		} else {
-			stall = e.Mem.Store(addr+off, 4, e.S.Cycles)
+		stall, hit := mem.StoreHit(addr+off, e.S.Cycles)
+		if !hit {
+			stall = mem.Store(addr+off, 4, e.S.Cycles)
 		}
 		e.S.Cycles += stall
 	}
@@ -434,22 +352,9 @@ func (e *Engine) Run(entry *ir.Method, args []value.Value) (value.Value, error) 
 	var result value.Value
 	for len(e.frames) > 0 {
 		f := &e.frames[len(e.frames)-1]
-		var (
-			v    value.Value
-			done bool
-			err  error
-		)
-		if f.threaded != nil {
-			v, done, err = f.threaded.Step(e, f)
-		} else {
-			v, done, err = e.step(f)
-		}
+		v, done, err := e.step(f)
 		if err != nil {
-			// A threaded Step may have pushed into deeper compiled frames
-			// without returning here; the faulting frame is whatever is on
-			// top now (for the interpreter loop that is always f itself).
-			ft := &e.frames[len(e.frames)-1]
-			return value.Value{}, &RuntimeError{Method: ft.M, PC: ft.PC, Err: err}
+			return value.Value{}, &RuntimeError{Method: f.M, PC: f.PC, Err: err}
 		}
 		if done {
 			e.frames = e.frames[:len(e.frames)-1]
@@ -461,20 +366,6 @@ func (e *Engine) Run(entry *ir.Method, args []value.Value) (value.Value, error) 
 		}
 	}
 	return result, nil
-}
-
-// charge accounts one retired instruction.
-func (e *Engine) charge(compiled bool, extra uint64) {
-	cost := e.Machine.IssueCycles + extra
-	if !compiled {
-		cost += e.Machine.InterpPenalty
-	}
-	e.S.Cycles += cost
-	e.S.Instructions++
-	if compiled {
-		e.S.CompiledCycles += cost
-		e.S.CompiledInstructions++
-	}
 }
 
 // step executes instructions of the top frame until it returns, calls, or
@@ -502,10 +393,10 @@ func (e *Engine) step(f *Frame) (value.Value, bool, error) {
 		perInstr += e.Machine.InterpPenalty
 	}
 	rec := e.Rec != nil
-	// fm != nil routes the memory ops below through the inline-probe hit
-	// lane with a devirtualized fallback; nil is the fully general
-	// interface path. See the fastMem field.
-	fm := e.fastMem
+	// Every heap access below first tries memsim's inline hit probe
+	// (LoadHit/StoreHit) and falls into the full LoadAt/Store on a bail.
+	mem := e.Mem
+	onLoad := e.OnLoad
 
 	// fail synchronizes the faulting pc and returns the trap.
 	fail := func(err error) (value.Value, bool, error) {
@@ -636,13 +527,12 @@ func (e *Engine) step(f *Frame) (value.Value, bool, error) {
 				return fail(ErrNullDeref)
 			}
 			addr := obj.Ref() + in.Field.Offset
-			if fm != nil {
-				var hit bool
-				if memStall, hit = fm.LoadHit(addr, e.S.Cycles); !hit {
-					memStall = fm.LoadAt(addr, in.Field.Kind.Size(), e.S.Cycles, siteBase|uint64(pc))
-				}
-			} else {
-				memStall = e.Mem.LoadAt(addr, in.Field.Kind.Size(), e.S.Cycles, siteBase|uint64(pc))
+			if onLoad != nil {
+				onLoad(addr, in.Field.Kind.Size())
+			}
+			var hit bool
+			if memStall, hit = mem.LoadHit(addr, e.S.Cycles); !hit {
+				memStall = mem.LoadAt(addr, in.Field.Kind.Size(), e.S.Cycles, siteBase|uint64(pc))
 			}
 			regs[in.Dst] = e.loadHeap(in.Field.Kind, addr)
 		case ir.OpPutField:
@@ -654,13 +544,9 @@ func (e *Engine) step(f *Frame) (value.Value, bool, error) {
 				return fail(ErrNullDeref)
 			}
 			addr := obj.Ref() + in.Field.Offset
-			if fm != nil {
-				var hit bool
-				if memStall, hit = fm.StoreHit(addr, e.S.Cycles); !hit {
-					memStall = fm.Store(addr, in.Field.Kind.Size(), e.S.Cycles)
-				}
-			} else {
-				memStall = e.Mem.Store(addr, in.Field.Kind.Size(), e.S.Cycles)
+			var hit bool
+			if memStall, hit = mem.StoreHit(addr, e.S.Cycles); !hit {
+				memStall = mem.Store(addr, in.Field.Kind.Size(), e.S.Cycles)
 			}
 			e.storeHeap(addr, regs[in.B])
 		case ir.OpGetStatic:
@@ -673,13 +559,12 @@ func (e *Engine) step(f *Frame) (value.Value, bool, error) {
 			if err != nil {
 				return fail(err)
 			}
-			if fm != nil {
-				var hit bool
-				if memStall, hit = fm.LoadHit(addr, e.S.Cycles); !hit {
-					memStall = fm.LoadAt(addr, in.Kind.Size(), e.S.Cycles, siteBase|uint64(pc))
-				}
-			} else {
-				memStall = e.Mem.LoadAt(addr, in.Kind.Size(), e.S.Cycles, siteBase|uint64(pc))
+			if onLoad != nil {
+				onLoad(addr, in.Kind.Size())
+			}
+			var hit bool
+			if memStall, hit = mem.LoadHit(addr, e.S.Cycles); !hit {
+				memStall = mem.LoadAt(addr, in.Kind.Size(), e.S.Cycles, siteBase|uint64(pc))
 			}
 			regs[in.Dst] = e.loadHeap(in.Kind, addr)
 		case ir.OpArrayStore:
@@ -687,13 +572,9 @@ func (e *Engine) step(f *Frame) (value.Value, bool, error) {
 			if err != nil {
 				return fail(err)
 			}
-			if fm != nil {
-				var hit bool
-				if memStall, hit = fm.StoreHit(addr, e.S.Cycles); !hit {
-					memStall = fm.Store(addr, in.Kind.Size(), e.S.Cycles)
-				}
-			} else {
-				memStall = e.Mem.Store(addr, in.Kind.Size(), e.S.Cycles)
+			var hit bool
+			if memStall, hit = mem.StoreHit(addr, e.S.Cycles); !hit {
+				memStall = mem.Store(addr, in.Kind.Size(), e.S.Cycles)
 			}
 			e.storeHeap(addr, regs[in.C])
 		case ir.OpArrayLen:
@@ -705,13 +586,12 @@ func (e *Engine) step(f *Frame) (value.Value, bool, error) {
 				return fail(ErrNullDeref)
 			}
 			addr := arr.Ref() + classfile.AuxOffset
-			if fm != nil {
-				var hit bool
-				if memStall, hit = fm.LoadHit(addr, e.S.Cycles); !hit {
-					memStall = fm.LoadAt(addr, 4, e.S.Cycles, siteBase|uint64(pc))
-				}
-			} else {
-				memStall = e.Mem.LoadAt(addr, 4, e.S.Cycles, siteBase|uint64(pc))
+			if onLoad != nil {
+				onLoad(addr, 4)
+			}
+			var hit bool
+			if memStall, hit = mem.LoadHit(addr, e.S.Cycles); !hit {
+				memStall = mem.LoadAt(addr, 4, e.S.Cycles, siteBase|uint64(pc))
 			}
 			regs[in.Dst] = value.Int(int32(e.Heap.Load4(addr)))
 
@@ -770,7 +650,7 @@ func (e *Engine) step(f *Frame) (value.Value, bool, error) {
 
 		case ir.OpPrefetch:
 			if addr, ok := e.prefetchAddr(regs, in.Addr); ok {
-				out := e.Mem.Prefetch(addr, in.Guarded, e.S.Cycles)
+				out := mem.Prefetch(addr, in.Guarded, e.S.Cycles)
 				if rec {
 					e.notePrefetch(f.M, int(in.Site), out)
 				}
@@ -783,7 +663,7 @@ func (e *Engine) step(f *Frame) (value.Value, bool, error) {
 			// become a GC root, or a stale/garbage word pins or crashes
 			// the collector.
 			if addr, ok := e.prefetchAddr(regs, in.Addr); ok {
-				out := e.Mem.Prefetch(addr, true, e.S.Cycles)
+				out := mem.Prefetch(addr, true, e.S.Cycles)
 				if rec {
 					e.notePrefetch(f.M, int(in.Site), out)
 				}
@@ -882,79 +762,3 @@ func constValue(in *ir.Instr) value.Value {
 	}
 	return value.Value{}
 }
-
-// ---------------------------------------------------------------------------
-// Exported execution primitives for the compiled tier.
-//
-// The compiled tier (internal/compile) executes the same semantics from a
-// pre-decoded representation. Everything with subtle invariants — frame
-// management, allocation + GC interplay, the prefetch address guard, site
-// attribution — stays defined here, single-sourced, and is reached through
-// these thin exports.
-
-// PushCall dispatches and pushes an activation of m, counting the
-// invocation through the Dispatcher exactly like an interpreted call.
-func (e *Engine) PushCall(m *ir.Method, args []value.Value, retReg ir.Reg) error {
-	return e.push(m, args, retReg)
-}
-
-// TopFrame returns the current top activation. The pointer is only valid
-// until the next PushCall (the frame stack may grow and move).
-func (e *Engine) TopFrame() *Frame { return &e.frames[len(e.frames)-1] }
-
-// PopFrame pops the top activation and delivers its return value to the
-// caller's return register — exactly the Run loop's frame retirement.
-// The caller must ensure at least one frame remains below.
-func (e *Engine) PopFrame(v value.Value) {
-	f := &e.frames[len(e.frames)-1]
-	retReg := f.RetReg
-	e.frames = e.frames[:len(e.frames)-1]
-	if retReg != ir.NoReg {
-		e.frames[len(e.frames)-1].Regs[retReg] = v
-	}
-}
-
-// Threaded exposes the frame's pre-decoded executor so the compiled tier
-// can decide whether a callee can be run without yielding to Run.
-func (f *Frame) Threaded() ThreadedCode { return f.threaded }
-
-// ArgBuf returns the shared call-argument staging buffer, sized to n.
-func (e *Engine) ArgBuf(n int) []value.Value {
-	if cap(e.argbuf) < n {
-		e.argbuf = make([]value.Value, n)
-	}
-	return e.argbuf[:n]
-}
-
-// AllocObject allocates an instance of c with GC-on-demand, charging
-// allocation traffic (and GC cost, when one runs) to e.S.Cycles directly.
-func (e *Engine) AllocObject(c *classfile.Class) (uint32, error) { return e.allocObject(c) }
-
-// AllocArray allocates a k[n] array with GC-on-demand; see AllocObject.
-func (e *Engine) AllocArray(k value.Kind, n uint32) (uint32, error) { return e.allocArray(k, n) }
-
-// Sink folds v into the run checksum.
-func (e *Engine) Sink(v value.Value) { e.sink(v) }
-
-// PrefetchAddr evaluates a prefetch address expression under the software
-// guard of Sec. 3.3.
-func (e *Engine) PrefetchAddr(regs []value.Value, a ir.AddrExpr) (uint32, bool) {
-	return e.prefetchAddr(regs, a)
-}
-
-// ElemAddr resolves an array element address with full null/kind/bounds
-// checking.
-func (e *Engine) ElemAddr(arr, idx value.Value) (uint32, error) { return e.elemAddr(arr, idx) }
-
-// NotePrefetch attributes one prefetch outcome to its emitting site.
-// Callers guard on e.Rec != nil.
-func (e *Engine) NotePrefetch(m *ir.Method, site int, out telemetry.PrefetchOutcome) {
-	e.notePrefetch(m, site, out)
-}
-
-// NoteLoad attributes one demand load's stall cycles to its pc. Callers
-// guard on e.Rec != nil.
-func (e *Engine) NoteLoad(m *ir.Method, pc int, stall uint64) { e.noteLoad(m, pc, stall) }
-
-// ConstValue materializes an OpConst instruction's value.
-func ConstValue(in *ir.Instr) value.Value { return constValue(in) }

@@ -17,8 +17,8 @@ func BenchmarkLoadHit(b *testing.B) {
 
 // BenchmarkProbeHit drives the same steady single-line hit stream as
 // BenchmarkLoadHit through the inline hit lane (probe + full-path
-// fallback, the exact shape a specialized engine compiles) — the pair's
-// ratio is the per-access saving the fast lane buys on an L1 memo hit.
+// fallback, the exact shape the interpreter compiles) — the pair's
+// ratio is the per-access saving the probe buys on an L1 memo hit.
 func BenchmarkProbeHit(b *testing.B) {
 	m := New(arch.Pentium4())
 	m.Load(0x10000, 4, 0)

@@ -1,15 +1,15 @@
 // The inline-probe hit lane. LoadAt/Store are the per-access entry points
-// of every simulation, and ~41% of engine dispatches reach them through
-// the interp.MemModel interface (EXPERIMENTS.md, "ceiling math"). The two
-// probes below split off the overwhelmingly common case — another access
-// to the line and page the hierarchy touched last, already arrived — into
-// call-free code small enough for the Go inliner (the budget is ~80
-// nodes; one probe costs ~55, and a single nested call would add ~57), so
-// a type-specialized engine pays a few loads and compares instead of an
-// interface dispatch plus the full access path. Accesses the probe bails
-// on — a different line (even the head of its set's recency list), a line
-// still in flight, a TLB memo miss — take the full LoadAt/Store,
-// devirtualized to a direct call by the same type specialization.
+// of every simulation. The two probes below split off the overwhelmingly
+// common case — another access to the line and page the hierarchy touched
+// last, already arrived — into call-free code small enough for the Go
+// inliner (the budget is 80 nodes; LoadHit costs 73, so a single nested
+// call would push it over). The interpreter inlines them at each heap
+// access site and pays a few loads and compares instead of a call into
+// the full access path. Accesses the probe bails on — a different line
+// (even the head of its set's recency list), a line still in flight, a TLB
+// memo miss — take the full LoadAt/Store as a direct call. The probes stay
+// separate from LoadAt/Store for that reason: folding them in would make
+// every access pay the outlined path's call.
 //
 // # Equivalence argument
 //
@@ -27,14 +27,19 @@
 //   - A bail touches neither counters nor recency state, so the caller's
 //     fallback LoadAt/Store runs against the exact state a direct call
 //     would have seen.
+//   - A memo line whose fill is still in flight (a prefetch, or a miss
+//     whose readyAt lies ahead of now) fails the readyAt test and bails,
+//     so the full path charges its wait.
 //
 // On the completed path the counter algebra is LoadAt/Store's verbatim:
 // an arrived L1 hit behind a TLB hit charges exactly L1HitCycles on a
 // load (extraWait is zero once readyAt <= now) and exactly zero on a
 // store (the L1-hit store stall is extraWait/StoreFactor = 0), so
-// CheckInvariants sees identical numbers whichever lane ran.
+// CheckInvariants sees identical numbers whether the probe completed the
+// access or not. TestHitLaneMatchesFullPath checks all of this access by
+// access on both machines under every hardware model.
 //
-// # Hardware-prefetcher contract audit
+// # Hardware-prefetcher contract
 //
 // The hit lane never hides a reference from any HWPrefetcher model:
 // Memory trains the unit only on demand L1 *misses* (LoadAt's miss path)
@@ -42,10 +47,9 @@
 // invisible to every model behind the interface, and stores never train
 // at all. ipstride, tracker, and multistride key on the load-site pc, but
 // they too observe only the miss stream, which the probes by construction
-// never intercept. A hypothetical model that must observe L1 hits cannot
-// be expressed through HWPrefetcher.Train today; if one is added it must
-// implement perAccessTrainer so FastLaneOK excludes it — engines consult
-// that once at wiring time (interp.Engine.SetMem), never per access.
+// never intercept. A model that must observe L1 hits cannot be expressed
+// through HWPrefetcher.Train; adding one means changing this contract and
+// the probes together.
 package memsim
 
 // LoadHit is the demand-load hit lane: a TLB-memo hit plus an L1-memo hit
@@ -53,7 +57,8 @@ package memsim
 // anything else returns ok=false with no state touched, and the caller
 // must issue the full LoadAt with the same arguments. pc is not a
 // parameter because completed hits never train the hardware prefetcher
-// (see the package comment's audit); the fallback call carries it.
+// (see the hardware-prefetcher contract above); the fallback call
+// carries it.
 func (mem *Memory) LoadHit(addr uint32, now uint64) (uint64, bool) {
 	t := &mem.tlb
 	if t.memo == nil || t.memoTag != uint64(addr)>>t.lineShift {
@@ -85,23 +90,4 @@ func (mem *Memory) StoreHit(addr uint32, now uint64) (uint64, bool) {
 	}
 	mem.C.Stores++
 	return 0, true
-}
-
-// perAccessTrainer is the opt-out hook for a hardware-prefetcher model
-// that needs to observe L1 hits (none of the zoo does — Train is defined
-// on the miss/prefetch stream). Implementing it with TrainsOnHit() true
-// makes FastLaneOK exclude the configuration from the hit lane.
-type perAccessTrainer interface {
-	TrainsOnHit() bool
-}
-
-// FastLaneOK reports whether this Memory's configuration permits the
-// LoadHit/StoreHit bypass. Engines must consult it once when they pin the
-// concrete backend (at reset/wiring), never per access, so lane choice is
-// a configuration property rather than runtime behaviour.
-func (mem *Memory) FastLaneOK() bool {
-	if t, ok := mem.hw.(perAccessTrainer); ok && t.TrainsOnHit() {
-		return false
-	}
-	return true
 }

@@ -8,26 +8,40 @@ import (
 )
 
 // TestHitLaneMatchesFullPath drives two Memories of each machine and
-// hardware model with the same seeded access stream: one issues every
-// access through LoadAt/Store, the other tries LoadHit/StoreHit first and
-// falls back to the full path on a bail, as a specialized engine does.
-// Stall cycles, counters and hardware-prefetcher statistics must agree
-// access by access, and the lane must complete a good share of the
-// accesses, so both its outcomes are exercised.
+// hardware model with the same seeded stream: one issues every access
+// through LoadAt/Store, the other tries LoadHit/StoreHit first and falls
+// back to the full path on a bail, as the interpreter does. The stream
+// interleaves guarded and unguarded software prefetches, which leave the
+// L1 memo pointing at a line still in flight and prime the DTLB, and
+// resets both Memories midway. Stall cycles, prefetch outcomes, counters
+// and hardware-prefetcher statistics must agree access by access. It is
+// the reference check of the probes: the lane must complete a good share
+// of the accesses, and must also be offered memo lines that have not yet
+// arrived, so every outcome of the probe is exercised.
 func TestHitLaneMatchesFullPath(t *testing.T) {
+	const ops = 20_000
 	for _, base := range arch.Machines() {
 		for _, model := range HWModels() {
 			m := machineWithModel(base, model)
 			t.Run(m.Name+"/"+model, func(t *testing.T) {
 				full, lane := New(m), New(m)
-				if !lane.FastLaneOK() {
-					t.Fatalf("%s model excluded from the hit lane", model)
-				}
 				rng := rand.New(rand.NewSource(5))
 				var now uint64
 				addr := uint32(0x10000)
-				completed := 0
-				for op := 0; op < 20_000; op++ {
+				completed, inFlight, prefetched := 0, 0, 0
+				check := func(op int, what string, got, want uint64) {
+					t.Helper()
+					if got != want || lane.C != full.C || lane.HWStats() != full.HWStats() {
+						t.Fatalf("op %d %s at 0x%x: lane %d counters %+v hw %+v; full path %d counters %+v hw %+v",
+							op, what, addr, got, lane.C, lane.HWStats(), want, full.C, full.HWStats())
+					}
+				}
+				for op := 0; op < ops; op++ {
+					if op == ops/2 {
+						full.Reset()
+						lane.Reset()
+						check(op, "reset", 0, 0)
+					}
 					switch r := rng.Intn(10); {
 					case r < 6: // stay on the line
 					case r < 8: // next line
@@ -35,10 +49,31 @@ func TestHitLaneMatchesFullPath(t *testing.T) {
 					default: // anywhere in a 4 MiB window
 						addr = 0x10000 + uint32(rng.Intn(1<<22))&^3
 					}
+					if rng.Intn(8) == 0 {
+						// Prefetch a nearby line and usually move onto it, so
+						// the next access finds the memo on a line in flight.
+						target := addr + uint32(64*rng.Intn(4))
+						guarded := rng.Intn(2) == 0
+						want := full.Prefetch(target, guarded, now)
+						got := lane.Prefetch(target, guarded, now)
+						check(op, "prefetch", uint64(got), uint64(want))
+						prefetched++
+						if rng.Intn(4) != 0 {
+							addr = target
+						}
+						now += uint64(rng.Intn(4))
+						continue
+					}
+					c := &lane.l1
+					if c.memo != nil && c.memoTag == uint64(addr)>>c.lineShift && *c.memo > now {
+						inFlight++
+					}
 					pc := uint64(1 + rng.Intn(3))
 					var want, got uint64
 					var ok bool
+					what := "load"
 					if rng.Intn(4) == 0 {
+						what = "store"
 						want = full.Store(addr, 4, now)
 						if got, ok = lane.StoreHit(addr, now); !ok {
 							got = lane.Store(addr, 4, now)
@@ -52,14 +87,15 @@ func TestHitLaneMatchesFullPath(t *testing.T) {
 					if ok {
 						completed++
 					}
-					if got != want || lane.C != full.C || lane.HWStats() != full.HWStats() {
-						t.Fatalf("op %d at 0x%x: lane stall %d counters %+v hw %+v; full path stall %d counters %+v hw %+v",
-							op, addr, got, lane.C, lane.HWStats(), want, full.C, full.HWStats())
-					}
+					check(op, what, got, want)
 					now += want + uint64(rng.Intn(50))
 				}
 				if completed < 1000 {
 					t.Fatalf("hit lane completed only %d accesses", completed)
+				}
+				if inFlight < 100 || prefetched < 1000 {
+					t.Fatalf("stream offered the lane %d in-flight memo lines over %d prefetches; too few to test the arrival check",
+						inFlight, prefetched)
 				}
 			})
 		}

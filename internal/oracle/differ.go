@@ -17,7 +17,6 @@ import (
 	"strider/internal/ir"
 	"strider/internal/memsim"
 	"strider/internal/static"
-	"strider/internal/telemetry"
 	"strider/internal/value"
 	"strider/internal/vm"
 )
@@ -43,12 +42,6 @@ type Configuration struct {
 	// mispredicted static prefetch touches the wrong line early — it must
 	// never change what the program computes, and this axis proves it.
 	Predict jit.PredictSource
-	// Exec selects the execution backend for JIT-compiled methods (the
-	// interpreter's step loop or the threaded-code tier). The compiled
-	// tier claims exact semantic equivalence — same fingerprint, same
-	// traps, same load stream — and this axis proves it against the
-	// prefetch-blind reference.
-	Exec vm.Exec
 }
 
 // Label renders the configuration compactly, e.g. "Pentium4/inter+intra+ip"
@@ -64,9 +57,6 @@ func (c Configuration) Label() string {
 	}
 	if c.Predict != jit.PredictDynamic {
 		l += "+p:" + c.Predict.String()
-	}
-	if c.Exec != vm.ExecInterp {
-		l += "+x:" + c.Exec.String()
 	}
 	return l
 }
@@ -115,30 +105,13 @@ func PredictConfigurations(machines []*arch.Machine) []Configuration {
 	return cs
 }
 
-// ExecConfigurations returns the execution-backend verification matrix:
-// the four software configurations of Configurations per machine, all on
-// the default hardware model, run on the threaded-code compiled tier.
-// (The interpreted backend is what every other cell of the matrix already
-// runs; these cells pin the compiled tier to the same fingerprints.)
-func ExecConfigurations(machines []*arch.Machine) []Configuration {
-	var cs []Configuration
-	for _, m := range machines {
-		cs = append(cs,
-			Configuration{Machine: m, Mode: jit.Baseline, Exec: vm.ExecCompiled},
-			Configuration{Machine: m, Mode: jit.Inter, Exec: vm.ExecCompiled},
-			Configuration{Machine: m, Mode: jit.InterIntra, Exec: vm.ExecCompiled},
-			Configuration{Machine: m, Mode: jit.InterIntra, Interprocedural: true, Exec: vm.ExecCompiled},
-		)
-	}
-	return cs
-}
-
 // Cell is the outcome of one configuration's run.
 type Cell struct {
 	Config      string
 	Fingerprint Fingerprint
 	// MemViolations are memory-model invariant violations observed during
-	// the run (counter conservation, fill-time inclusion, stall bounds).
+	// the run (counter conservation, fill-time inclusion, stall bounds,
+	// and the load observer's count against memsim's).
 	MemViolations []string
 }
 
@@ -214,7 +187,6 @@ func Verify(build func() *ir.Program, opts Options) (*Report, error) {
 	r := &Report{Reference: ref}
 	configs := ConfigurationsHW(opts.Machines, opts.HWModels)
 	configs = append(configs, PredictConfigurations(opts.Machines)...)
-	configs = append(configs, ExecConfigurations(opts.Machines)...)
 	for _, c := range configs {
 		cell := runCell(build, c, opts.HeapBytes, opts.GC)
 		r.Cells = append(r.Cells, cell)
@@ -233,50 +205,6 @@ func Verify(build func() *ir.Program, opts Options) (*Report, error) {
 		}
 	}
 	return r, nil
-}
-
-// loadTap wraps the cell's memory model and digests the demand-load
-// address stream exactly as the oracle does. Prefetches pass through
-// untapped: they must be architecturally invisible.
-//
-// Installing the tap (via SetMem) unpins the engine's devirtualized fast
-// lane — the engine must dispatch through the tap so no load escapes the
-// digest. To keep the 68-cell matrix exercising the hit-lane probes
-// anyway, the tap carries the pinning the engine gave up: after recording,
-// it routes the access through LoadHit/StoreHit with the full call as
-// fallback, exactly like a specialized engine site. fast is nil when the
-// engine itself had none (foreign model, ineligible configuration, or
-// STRIDER_NO_FASTLANE), which is how the differ proves cells pass with
-// the lane on and off.
-type loadTap struct {
-	inner interp.MemModel
-	fast  *memsim.Memory
-	loads loadAccum
-}
-
-func (t *loadTap) LoadAt(addr, size uint32, now uint64, pc uint64) uint64 {
-	t.loads.record(addr, size)
-	if fm := t.fast; fm != nil {
-		if stall, hit := fm.LoadHit(addr, now); hit {
-			return stall
-		}
-		return fm.LoadAt(addr, size, now, pc)
-	}
-	return t.inner.LoadAt(addr, size, now, pc)
-}
-
-func (t *loadTap) Store(addr, size uint32, now uint64) uint64 {
-	if fm := t.fast; fm != nil {
-		if stall, hit := fm.StoreHit(addr, now); hit {
-			return stall
-		}
-		return fm.Store(addr, size, now)
-	}
-	return t.inner.Store(addr, size, now)
-}
-
-func (t *loadTap) Prefetch(addr uint32, guarded bool, now uint64) telemetry.PrefetchOutcome {
-	return t.inner.Prefetch(addr, guarded, now)
 }
 
 // runCell executes one configuration: a warmup run (during which the JIT
@@ -299,36 +227,43 @@ func runCell(build func() *ir.Program, c Configuration, heapBytes uint32, gc hea
 		jo.Profile = recordProfile(build, c, heapBytes, gc)
 	}
 	v := vm.New(prog, vm.Config{
-		Machine: &m, Mode: c.Mode, HeapBytes: heapBytes, GC: gc, Exec: c.Exec, JIT: &jo,
+		Machine: &m, Mode: c.Mode, HeapBytes: heapBytes, GC: gc, JIT: &jo,
 	})
 	v.Mem.EnableSelfCheck()
-	// Inherit the engine's fast-lane pinning (nil under the escape hatch or
-	// an ineligible configuration) before SetMem re-derives it away.
-	tap := &loadTap{inner: v.Engine.Mem, fast: v.Engine.FastMem()}
-	v.Engine.SetMem(tap)
+	// Digest the demand-load stream exactly as the oracle does. Prefetches
+	// are not reported: they must be architecturally invisible.
+	var loads loadAccum
+	v.Engine.OnLoad = loads.record
 
 	stats, err := v.Run(nil)
 	if err == nil {
 		// Warmup succeeded: measure the steady (all-compiled) run.
 		v.ResetRun()
-		tap.loads.reset()
+		loads.reset()
 		stats, err = v.Run(nil)
 	}
 	fp := Fingerprint{
 		Result:        stats.Result,
 		Checksum:      stats.Checksum,
-		LoadDigest:    tap.loads.digest,
-		Loads:         tap.loads.count,
+		LoadDigest:    loads.digest,
+		Loads:         loads.count,
 		HeapDigest:    RawHeapDigest(v.Heap),
 		GraphDigest:   GraphDigest(v.Heap, prog.Universe, stats.Result),
 		StaticsDigest: StaticsDigest(prog.Universe),
 		GCs:           stats.GCs,
 		Trap:          TrapClass(err),
 	}
+	violations := append(v.Mem.Violations(), v.Mem.CheckInvariants()...)
+	// Every demand load memsim counted, whether the inline probe completed
+	// it or the full path did, must have reached the observer.
+	if loads.count != stats.Mem.Loads {
+		violations = append(violations, fmt.Sprintf(
+			"load observer saw %d demand loads, memsim counted %d", loads.count, stats.Mem.Loads))
+	}
 	return Cell{
 		Config:        c.Label(),
 		Fingerprint:   fp,
-		MemViolations: append(v.Mem.Violations(), v.Mem.CheckInvariants()...),
+		MemViolations: violations,
 	}
 }
 

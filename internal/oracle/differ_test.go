@@ -23,7 +23,7 @@ import (
 // effect of prefetching — software or hardware, dynamically inspected or
 // statically mispredicted — anywhere in the stack fails here.
 func TestVerifyAllWorkloads(t *testing.T) {
-	wantCells := 4*len(memsim.HWModels())*2 + 3*2*2 + 4*2 // hw matrix + predict matrix + exec matrix
+	wantCells := 4*len(memsim.HWModels())*2 + 3*2*2 // hw matrix + predict matrix
 	for _, w := range workloads.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
@@ -36,13 +36,76 @@ func TestVerifyAllWorkloads(t *testing.T) {
 				t.Fatalf("%s", rep.Summary())
 			}
 			if len(rep.Cells) != wantCells {
-				t.Fatalf("got %d cells, want %d (4 sw configs x %d hw models x 2 machines + 12 predict + 8 exec cells)",
+				t.Fatalf("got %d cells, want %d (4 sw configs x %d hw models x 2 machines + 12 predict cells)",
 					len(rep.Cells), wantCells, len(memsim.HWModels()))
 			}
 			if rep.Reference.Loads == 0 {
 				t.Fatalf("workload performed no demand loads; fingerprint is vacuous")
 			}
 		})
+	}
+}
+
+// TestLoadObserverSeesEveryDemandLoad pins the differ's load stream to
+// memsim's own count. In every cell, runCell compares the demand loads the
+// engine reported to its OnLoad observer during the measured run with
+// memsim's Loads counter, so a load site that reports only when the inline
+// hit probe bails shows up as a violation. Each iteration of the program
+// reads a field, an array element and the array's length twice in a row:
+// the first read of each usually takes the full path, the second completes
+// in the probe.
+func TestLoadObserverSeesEveryDemandLoad(t *testing.T) {
+	build := func() *ir.Program {
+		u := classfile.NewUniverse()
+		box := u.MustDefineClass("Box", nil, classfile.FieldSpec{Name: "v", Kind: value.KindInt})
+		fV := box.FieldByName("v")
+		p := ir.NewProgram(u)
+		b := ir.NewBuilder(p, nil, "main", value.KindInt)
+		o := b.New(box)
+		b.PutField(o, fV, b.ConstInt(3))
+		n := b.ConstInt(512)
+		arr := b.NewArray(value.KindInt, n)
+		sum := b.ConstInt(0)
+		i := b.ConstInt(0)
+		cond, body := b.NewLabel(), b.NewLabel()
+		b.Goto(cond)
+		b.Bind(body)
+		b.ArrayStore(value.KindInt, arr, i, i)
+		for range 2 {
+			b.ArithTo(sum, ir.OpAdd, value.KindInt, sum, b.GetField(o, fV))
+		}
+		for range 2 {
+			b.ArithTo(sum, ir.OpAdd, value.KindInt, sum, b.ArrayLoad(value.KindInt, arr, i))
+		}
+		for range 2 {
+			b.ArithTo(sum, ir.OpAdd, value.KindInt, sum, b.ArrayLen(arr))
+		}
+		b.IncInt(i, 1)
+		b.Bind(cond)
+		b.Br(value.KindInt, ir.CondLT, i, n, body)
+		b.Sink(sum)
+		b.Return(sum)
+		p.Entry = b.Finish()
+		return p
+	}
+	rep, err := Verify(build, Options{SkipLeakCheck: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 4*len(memsim.HWModels())*2 + 3*2*2; len(rep.Cells) != want {
+		t.Fatalf("got %d cells, want %d", len(rep.Cells), want)
+	}
+	if rep.Reference.Loads < 6*512 {
+		t.Fatalf("reference saw %d demand loads, want at least %d", rep.Reference.Loads, 6*512)
+	}
+	for _, c := range rep.Cells {
+		for _, v := range c.MemViolations {
+			t.Errorf("%s: %s", c.Config, v)
+		}
+		if c.Fingerprint.Loads != rep.Reference.Loads {
+			t.Errorf("%s: observer saw %d demand loads, the oracle %d",
+				c.Config, c.Fingerprint.Loads, rep.Reference.Loads)
+		}
 	}
 }
 

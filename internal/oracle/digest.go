@@ -27,7 +27,7 @@ func foldLoad(h uint64, addr, size uint32) uint64 {
 }
 
 // loadAccum accumulates the ordered demand-load address stream. The
-// reference interpreter and the differ's memory tap both use it, so their
+// reference interpreter and the differ's load observer both use it, so their
 // digests are comparable by construction.
 type loadAccum struct {
 	digest uint64

@@ -238,6 +238,20 @@ func TestFuzzJobs(t *testing.T) {
 	}
 }
 
+// TestJobKeysStable pins the canonical cell keys of default jobs, so
+// results cached under an earlier key keep their identity.
+func TestJobKeysStable(t *testing.T) {
+	for jb, want := range map[Job]string{
+		{Workload: "jess"}: "jess|small|Pentium4|INTER+INTRA|gc0|w1|h0",
+		{Workload: "db", Size: "full", Machine: "AthlonMP", Mode: "inter", HW: "ipstride", Predict: "static"}: "db|full|AthlonMP|INTER|gc0|w1|h0|hw:ipstride|pr:static",
+		{Workload: "fuzz:0x3", Mode: "baseline"}: "fuzz:0x3|small|Pentium4|BASELINE|gc0|w1|h16777216",
+	} {
+		if got := jb.Key(); got != want {
+			t.Errorf("%+v: key %q, want %q", jb, got, want)
+		}
+	}
+}
+
 // TestJobSpecRoundTrip pins that a Response's cell fields parse back into
 // a Job naming the same cell.
 func TestJobSpecRoundTrip(t *testing.T) {

@@ -48,6 +48,8 @@ func TestAPIValidation(t *testing.T) {
 			body: `{"workload":"jess","gc":"generational"}`, status: 400, field: "gc", wantValid: "compact"},
 		{name: "unknown hw model", method: "POST", path: "/run",
 			body: `{"workload":"jess","hw":"oracle"}`, status: 400, field: "hw", wantValid: "stream"},
+		{name: "retired exec field", method: "POST", path: "/run",
+			body: `{"workload":"jess","exec":"compiled"}`, status: 400, errSubstr: `unknown field "exec"`},
 		{name: "unknown predict source", method: "POST", path: "/run",
 			body: `{"workload":"jess","predict":"psychic"}`, status: 400, field: "predict", wantValid: "static"},
 		{name: "negative warmups", method: "POST", path: "/run",

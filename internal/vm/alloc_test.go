@@ -16,39 +16,33 @@ import (
 // Frame slots, register files, the GC mark stack, dispatch artifacts, and
 // cache metadata are all preallocated or pooled, so simulation speed cannot
 // degrade with allocator or GC pressure.
-// The compiled execution tier holds the same bar: its artifacts are built
-// once at JIT time and its thread state lives in Engine.ExecScratch, so
-// the threaded-code loop is as allocation-free as the interpreter's.
 func TestSteadyStateRunZeroAllocs(t *testing.T) {
 	for _, mode := range []jit.Mode{jit.Baseline, jit.InterIntra} {
-		for _, exec := range []vm.Exec{vm.ExecInterp, vm.ExecCompiled} {
-			mode, exec := mode, exec
-			t.Run(mode.String()+"/"+exec.String(), func(t *testing.T) {
-				w, err := workloads.ByName("search")
-				if err != nil {
+		t.Run(mode.String(), func(t *testing.T) {
+			w, err := workloads.ByName("search")
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog := w.Build(workloads.SizeSmall)
+			v := vm.New(prog, vm.Config{Machine: arch.Pentium4(), Mode: mode, HeapBytes: w.HeapBytes})
+			// Two warmup runs: the first compiles methods as they cross the
+			// invocation threshold; the second settles pooled capacities
+			// (frame regs, heap high-water mark, inflight queue).
+			for i := 0; i < 2; i++ {
+				if _, err := v.Run(nil); err != nil {
 					t.Fatal(err)
 				}
-				prog := w.Build(workloads.SizeSmall)
-				v := vm.New(prog, vm.Config{Machine: arch.Pentium4(), Mode: mode, HeapBytes: w.HeapBytes, Exec: exec})
-				// Two warmup runs: the first compiles methods as they cross the
-				// invocation threshold; the second settles pooled capacities
-				// (frame regs, heap high-water mark, inflight queue).
-				for i := 0; i < 2; i++ {
-					if _, err := v.Run(nil); err != nil {
-						t.Fatal(err)
-					}
-					v.ResetRun()
-				}
-				allocs := testing.AllocsPerRun(3, func() {
-					v.ResetRun()
-					if _, err := v.Run(nil); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if allocs != 0 {
-					t.Errorf("steady-state run allocates %.1f objects/run, want 0", allocs)
+				v.ResetRun()
+			}
+			allocs := testing.AllocsPerRun(3, func() {
+				v.ResetRun()
+				if _, err := v.Run(nil); err != nil {
+					t.Fatal(err)
 				}
 			})
-		}
+			if allocs != 0 {
+				t.Errorf("steady-state run allocates %.1f objects/run, want 0", allocs)
+			}
+		})
 	}
 }
