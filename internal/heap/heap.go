@@ -55,11 +55,18 @@ type Stats struct {
 // The backing store is materialized lazily: `size` is the configured
 // (logical) capacity — the address space Valid accepts and allocation is
 // bounded by — while `mem` holds only the physically-touched prefix and
-// grows on demand. Most workloads configure tens of megabytes and touch a
-// fraction of them, so eagerly zeroing the full capacity on New/Reset
-// dominated VM construction cost. Reads of valid-but-untouched addresses
+// grows on demand by doubling. Reads of valid-but-untouched addresses
 // (the guarded speculative loads of Sec. 3.3 can reach any heap address)
-// return zero, exactly as the eagerly-zeroed backing did.
+// return zero, exactly as an eagerly-zeroed backing would.
+//
+// The backing starts at initialPhys (64 KiB). Workloads configure
+// megabytes and touch a fraction of them. No progfuzz program's heap
+// high-water mark passes 22.4 KiB (seeds 1600–1727, 8 MiB heap), so the
+// differ's VMs never grow at all. The small-size workloads' high-water
+// marks run from 8 KiB (mpegaudio) to 875 KiB (montecarlo): at most four
+// doublings. The GC mark bitmap is likewise allocated by Collect, sized
+// to the backing of the moment, so a heap that never collects never pays
+// for it.
 type Heap struct {
 	mem      []byte
 	size     uint32 // logical capacity; len(mem) <= size
@@ -72,7 +79,9 @@ type Heap struct {
 	// free list for GCMarkSweepFreeList mode: sorted, coalesced spans.
 	free []span
 
-	// marks is a side bitmap, one bit per 8 heap bytes (physical prefix).
+	// marks is a side bitmap, one bit per 8 heap bytes of the physical
+	// prefix. Collect sizes and clears it; it is nil until the first
+	// collection.
 	marks []uint64
 
 	// markStack is the mark-phase worklist, reused across collections.
@@ -82,7 +91,7 @@ type Heap struct {
 type span struct{ addr, size uint32 }
 
 // initialPhys bounds the physical backing allocated up front.
-const initialPhys = 1 << 20
+const initialPhys = 64 << 10
 
 // New creates a heap of the given size bound to a class universe.
 func New(size uint32, u *classfile.Universe) *Heap {
@@ -100,7 +109,6 @@ func New(size uint32, u *classfile.Universe) *Heap {
 		top:      heapBase,
 		hwm:      heapBase,
 		universe: u,
-		marks:    make([]uint64, (phys/8+63)/64),
 	}
 }
 
@@ -122,9 +130,6 @@ func (h *Heap) ensure(need uint64) {
 	mem := make([]byte, phys)
 	copy(mem, h.mem)
 	h.mem = mem
-	marks := make([]uint64, (phys/8+63)/64)
-	copy(marks, h.marks)
-	h.marks = marks
 }
 
 // SetGCMode selects the collector (default GCSlidingCompact).
@@ -146,10 +151,7 @@ func (h *Heap) Universe() *classfile.Universe { return h.universe }
 // the allocation high-water mark) is re-zeroed; memory beyond it was never
 // written.
 func (h *Heap) Reset() {
-	b := h.mem[:h.hwm]
-	for i := range b {
-		b[i] = 0
-	}
+	clear(h.mem[:h.hwm])
 	h.top = heapBase
 	h.hwm = heapBase
 	h.free = h.free[:0]
@@ -300,10 +302,7 @@ func (h *Heap) allocRaw(size uint32) (uint32, error) {
 }
 
 func (h *Heap) zero(addr, size uint32) {
-	b := h.mem[addr : addr+size]
-	for i := range b {
-		b[i] = 0
-	}
+	clear(h.mem[addr : addr+size])
 }
 
 // --- garbage collection ----------------------------------------------------
@@ -325,10 +324,18 @@ func (h *Heap) marked(addr uint32) bool {
 	return h.marks[w]&(1<<b) != 0
 }
 
+// clearMarks sizes the mark bitmap to the physical backing, reusing its
+// storage when it is large enough, and clears it. Nothing grows the
+// backing during a collection: every store the collector makes lands
+// below top, which allocation already materialized.
 func (h *Heap) clearMarks() {
-	for i := range h.marks {
-		h.marks[i] = 0
+	n := (len(h.mem)/8 + 63) / 64
+	if cap(h.marks) < n {
+		h.marks = make([]uint64, n)
+		return
 	}
+	h.marks = h.marks[:n]
+	clear(h.marks)
 }
 
 // Collect runs a full garbage collection with the given roots. It returns

@@ -65,11 +65,15 @@ var (
 // MaxFrames bounds recursion depth.
 const MaxFrames = 1024
 
+// initialFrames is the frame-stack capacity New allocates; deeper call
+// chains grow it on demand up to MaxFrames.
+const initialFrames = 64
+
 // DefaultMaxInstructions bounds runaway programs.
 const DefaultMaxInstructions = 4_000_000_000
 
-// Frame is one activation record. Its invariants (fixed backing array,
-// register reuse) are owned by push and Run.
+// Frame is one activation record. Its invariants (pointer lifetime across
+// stack growth, register reuse) are owned by push and Run.
 type Frame struct {
 	M        *ir.Method
 	Code     []ir.Instr
@@ -120,10 +124,14 @@ type Engine struct {
 
 	S Stats
 
-	// frames is the activation stack. It is a value slice with capacity
-	// MaxFrames fixed at creation, so frame pointers handed to step stay
-	// valid across pushes and popped frames keep their register slices for
-	// reuse — the steady-state call path allocates nothing.
+	// frames is the activation stack, a value slice that starts at
+	// initialFrames and grows by append only when a push finds it full.
+	// Below capacity push reslices, so popped frames keep their register
+	// slices for reuse and the steady-state call path allocates nothing.
+	// A growth moves every frame, yet no *Frame outlives it: step returns
+	// right after a successful push, Run re-reads the top frame on every
+	// turn, and push's only error (ErrStackOverflow) is raised before any
+	// growth, so Run's trap report still reads the caller's frame in place.
 	frames []Frame
 	// argbuf is the scratch buffer call argument values are staged in
 	// before they are copied into the callee frame.
@@ -149,7 +157,7 @@ func New(prog *ir.Program, h *heap.Heap, mem *memsim.Memory, disp Dispatcher, m 
 		Prog: prog, Heap: h, Mem: mem, Disp: disp, Machine: m,
 		MaxInstructions: DefaultMaxInstructions,
 		ChargeGC:        true,
-		frames:          make([]Frame, 0, MaxFrames),
+		frames:          make([]Frame, 0, initialFrames),
 	}
 }
 
@@ -236,7 +244,11 @@ func (e *Engine) push(m *ir.Method, args []value.Value, retReg ir.Reg) error {
 		return ErrStackOverflow
 	}
 	code := e.Disp.Invoke(m, args)
-	e.frames = e.frames[:n+1]
+	if n < cap(e.frames) {
+		e.frames = e.frames[:n+1]
+	} else {
+		e.frames = append(e.frames, Frame{})
+	}
 	f := &e.frames[n]
 	f.M = m
 	f.Code = code.Instrs

@@ -187,8 +187,24 @@ func Verify(build func() *ir.Program, opts Options) (*Report, error) {
 	r := &Report{Reference: ref}
 	configs := ConfigurationsHW(opts.Machines, opts.HWModels)
 	configs = append(configs, PredictConfigurations(opts.Machines)...)
+	// Each PGO cell replays the profile its dynamic twin (same machine,
+	// mode and interprocedural flag) records under the first hardware
+	// model; the twin comes earlier in the config order. Recording is a
+	// passive side channel of the dynamic run, and the profile does not
+	// depend on the hardware model, which only moves lines between cache
+	// levels.
+	profiles := map[profileKey]*static.Profile{}
 	for _, c := range configs {
-		cell := runCell(build, c, opts.HeapBytes, opts.GC)
+		if c.Predict == jit.PredictPGO {
+			profiles[profileKeyOf(c)] = static.NewProfile(c.Label())
+		}
+	}
+	for _, c := range configs {
+		var prof *static.Profile
+		if c.Predict == jit.PredictPGO || c.HW == opts.HWModels[0] {
+			prof = profiles[profileKeyOf(c)]
+		}
+		cell := runCell(build, c, opts.HeapBytes, opts.GC, prof)
 		r.Cells = append(r.Cells, cell)
 		for _, d := range ref.Diff(cell.Fingerprint) {
 			r.Mismatches = append(r.Mismatches, cell.Config+": "+d)
@@ -207,11 +223,24 @@ func Verify(build func() *ir.Program, opts Options) (*Report, error) {
 	return r, nil
 }
 
+// profileKey identifies the PGO cell a dynamic cell records for.
+type profileKey struct {
+	machine         *arch.Machine
+	mode            jit.Mode
+	interprocedural bool
+}
+
+func profileKeyOf(c Configuration) profileKey {
+	return profileKey{c.Machine, c.Mode, c.Interprocedural}
+}
+
 // runCell executes one configuration: a warmup run (during which the JIT
 // compiles hot methods with live argument values) followed by a measured
 // run, mirroring vm.Measure's methodology, and fingerprints the measured
-// run's architectural state.
-func runCell(build func() *ir.Program, c Configuration, heapBytes uint32, gc heap.GCMode) Cell {
+// run's architectural state. A PGO cell replays prof; any other cell
+// records into prof when it is non-nil. A trapping program still records
+// whatever compiled before the trap.
+func runCell(build func() *ir.Program, c Configuration, heapBytes uint32, gc heap.GCMode, prof *static.Profile) Cell {
 	prog := build()
 	// Configurations share machine pointers; run on a private copy so the
 	// hardware-model selection of one cell cannot leak into another.
@@ -221,10 +250,9 @@ func runCell(build func() *ir.Program, c Configuration, heapBytes uint32, gc hea
 	jo.Inspect.Interprocedural = c.Interprocedural
 	jo.Predict = c.Predict
 	if c.Predict == jit.PredictPGO {
-		// A PGO cell replays a profile recorded by a dynamic run of the
-		// same configuration — on its own private program and heap, like
-		// every other cell.
-		jo.Profile = recordProfile(build, c, heapBytes, gc)
+		jo.Profile = prof
+	} else {
+		jo.RecordProfile = prof
 	}
 	v := vm.New(prog, vm.Config{
 		Machine: &m, Mode: c.Mode, HeapBytes: heapBytes, GC: gc, JIT: &jo,
@@ -265,26 +293,6 @@ func runCell(build func() *ir.Program, c Configuration, heapBytes uint32, gc hea
 		Fingerprint:   fp,
 		MemViolations: violations,
 	}
-}
-
-// recordProfile runs one dynamic warmup+measure pair of the configuration
-// with profile recording on, producing the profile its PGO cell replays.
-// A trapping program still records whatever compiled before the trap.
-func recordProfile(build func() *ir.Program, c Configuration, heapBytes uint32, gc heap.GCMode) *static.Profile {
-	prog := build()
-	m := *c.Machine
-	m.HWPrefetcher = c.HW
-	jo := jit.DefaultOptions(&m, c.Mode)
-	jo.Inspect.Interprocedural = c.Interprocedural
-	jo.RecordProfile = static.NewProfile(c.Label())
-	v := vm.New(prog, vm.Config{
-		Machine: &m, Mode: c.Mode, HeapBytes: heapBytes, GC: gc, JIT: &jo,
-	})
-	if _, err := v.Run(nil); err == nil {
-		v.ResetRun()
-		_, _ = v.Run(nil)
-	}
-	return jo.RecordProfile
 }
 
 // TrapClass maps an engine runtime error onto the oracle's trap

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -19,6 +20,9 @@ type pooledVM struct {
 	// on a fresh VM.
 	checksum uint64
 	errText  string
+	// seq is the pool's put counter when this VM was parked; a full pool
+	// evicts the VM with the smallest.
+	seq uint64
 }
 
 // vmPool parks at most one steady VM per cell key. A VM enters the pool
@@ -28,6 +32,10 @@ type pooledVM struct {
 // run reproduces the cell's canonical stats exactly while skipping the
 // program build and all JIT compilation.
 //
+// A full pool evicts the least recently parked VM, so a stream of
+// one-shot cells (fresh fuzz programs) cannot lock out the keys that do
+// come back.
+//
 // Cell keys are sharded onto workers by hash, so a key's executions are
 // already serialized; the mutex makes the pool safe regardless of the
 // scheduling topology above it.
@@ -35,11 +43,12 @@ type vmPool struct {
 	mu      sync.Mutex
 	byKey   map[string]*pooledVM
 	maxKeys int
+	puts    uint64 // put sequence, under mu
 
 	hits     atomic.Uint64 // get() served a parked VM
 	misses   atomic.Uint64 // get() had nothing parked for the key
 	returns  atomic.Uint64 // put() parked a VM
-	drops    atomic.Uint64 // put() discarded a VM (pool full or disabled)
+	drops    atomic.Uint64 // put() discarded or evicted a VM (duplicate, pool full, or disabled)
 	poisoned atomic.Uint64 // recycled VM failed the reset-correctness guard
 }
 
@@ -64,15 +73,29 @@ func (p *vmPool) get(key string) *pooledVM {
 }
 
 // put parks a VM for key, unless the pool already holds one for the key
-// or is at its key capacity.
+// or is disabled. At key capacity it first evicts the least recently
+// parked VM; the linear scan is cheap next to the execution that precedes
+// every put.
 func (p *vmPool) put(key string, pv *pooledVM) {
 	p.mu.Lock()
-	_, dup := p.byKey[key]
-	if dup || p.maxKeys <= 0 || (len(p.byKey) >= p.maxKeys) {
+	if _, dup := p.byKey[key]; dup || p.maxKeys <= 0 {
 		p.mu.Unlock()
 		p.drops.Add(1)
 		return
 	}
+	if len(p.byKey) >= p.maxKeys {
+		var oldest string
+		oldestSeq := uint64(math.MaxUint64)
+		for k, v := range p.byKey {
+			if v.seq < oldestSeq {
+				oldest, oldestSeq = k, v.seq
+			}
+		}
+		delete(p.byKey, oldest)
+		p.drops.Add(1)
+	}
+	p.puts++
+	pv.seq = p.puts
 	p.byKey[key] = pv
 	p.mu.Unlock()
 	p.returns.Add(1)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -113,7 +114,9 @@ func TestPoolPoisoningGuard(t *testing.T) {
 }
 
 // TestPoolCapacityAndDisable pins the pool's bounds: capacity 0 disables
-// pooling entirely; a full pool drops returns instead of growing.
+// pooling entirely; a full pool evicts its least recently parked VM to
+// park the newest one, counting the eviction as a drop, instead of
+// growing.
 func TestPoolCapacityAndDisable(t *testing.T) {
 	off := &executor{pool: newVMPool(0)}
 	spec := Job{Workload: "jess"}.Spec().Canonical()
@@ -128,11 +131,43 @@ func TestPoolCapacityAndDisable(t *testing.T) {
 
 	one := &executor{pool: newVMPool(1)}
 	one.run(Job{Workload: "jess"}.Spec().Canonical(), false)
-	one.run(Job{Workload: "db"}.Spec().Canonical(), false)
+	db := Job{Workload: "db"}.Spec().Canonical()
+	one.run(db, false)
 	if one.pool.size() != 1 {
 		t.Errorf("pool size %d, want 1 (capacity)", one.pool.size())
 	}
-	if one.pool.drops.Load() == 0 {
-		t.Error("over-capacity return was not counted as a drop")
+	if one.pool.drops.Load() != 1 {
+		t.Errorf("%d drops, want 1: the evicted jess VM", one.pool.drops.Load())
+	}
+	if r := one.run(db, false); !r.Pooled {
+		t.Error("the newest key was not the one parked")
+	}
+}
+
+// TestPoolKeepsRecurringKey pins eviction order under a stream of
+// one-shot cells (fresh fuzz programs): a recurring cell whose rerun
+// overlaps two one-shot completions on other shards must find its VM
+// parked on every round. A pool that drops returns when full instead
+// drops the recurring key's return in round 1 and misses it from round 2
+// on.
+func TestPoolKeepsRecurringKey(t *testing.T) {
+	p := newVMPool(4)
+	for round := range 50 {
+		pv := p.get("hot")
+		if round > 0 && pv == nil {
+			t.Fatalf("round %d: recurring key is not parked (pool holds %d)", round, p.size())
+		}
+		p.put(fmt.Sprintf("once-%d-a", round), &pooledVM{})
+		p.put(fmt.Sprintf("once-%d-b", round), &pooledVM{})
+		if pv == nil {
+			pv = &pooledVM{}
+		}
+		p.put("hot", pv)
+	}
+	if p.size() != 4 {
+		t.Errorf("pool holds %d VMs, want its capacity 4", p.size())
+	}
+	if got := p.hits.Load(); got != 49 {
+		t.Errorf("%d hits, want 49", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -71,6 +72,9 @@ func TestPrefetchOutcomeStrings(t *testing.T) {
 			t.Errorf("outcome %d: bad or duplicate name %q", o, s)
 		}
 		seen[s] = true
+	}
+	if got := PrefetchOutcome(200).String(); got != "outcome?" {
+		t.Errorf("unknown outcome renders %q", got)
 	}
 }
 
@@ -271,16 +275,36 @@ func TestTraceConcurrentUse(t *testing.T) {
 	}
 }
 
-// nopRecorder embeds Nop the way a partial Recorder implementation would.
-type nopRecorder struct{ Nop }
+// nopRecorder embeds Nop the way a partial Recorder implementation would:
+// it overrides Cell and takes every other event from Nop.
+type nopRecorder struct {
+	Nop
+	cells *int
+}
 
+func (r nopRecorder) Cell(CellEvent) { *r.cells++ }
+
+// TestNopRecorderImplementsRecorder drives an embedded Nop through every
+// Recorder method.
 func TestNopRecorderImplementsRecorder(t *testing.T) {
-	var r Recorder = nopRecorder{}
+	cells := 0
+	var r Recorder = nopRecorder{cells: &cells}
 	r.Compile(CompileEvent{})
 	r.Loop(LoopEvent{})
 	r.Decision(DecisionEvent{})
 	r.Site(SiteEvent{})
 	r.Cell(CellEvent{})
+	r.HW(HWEvent{})
+	if cells != 1 {
+		t.Errorf("overriding method saw %d cell events, want 1", cells)
+	}
+	var nop Recorder = Nop{}
+	nop.Compile(CompileEvent{})
+	nop.Loop(LoopEvent{})
+	nop.Decision(DecisionEvent{})
+	nop.Site(SiteEvent{})
+	nop.Cell(CellEvent{})
+	nop.HW(HWEvent{})
 }
 
 func TestWriteCSVQuoting(t *testing.T) {
@@ -337,5 +361,76 @@ func TestDecisionLogEdgeCases(t *testing.T) {
 	}
 	if strings.Contains(log, "m3@14") {
 		t.Errorf("sites beyond the cap leaked into the log:\n%s", log)
+	}
+}
+
+// TestDecisionLogPredictionSources covers the verdict lines of the static
+// and PGO prediction sources, cell notes, and site ordering.
+func TestDecisionLogPredictionSources(t *testing.T) {
+	tr := NewTrace()
+	tr.Cell(CellEvent{Cell: "a", Shared: true})
+	tr.Cell(CellEvent{Cell: "b", Err: "boom"})
+	tr.Compile(CompileEvent{Method: "m", Mode: "INTER"})
+	tr.Loop(LoopEvent{Method: "m", Loop: 1, Verdict: LoopStaticPredicted, Nodes: 3, Src: "static"})
+	tr.Decision(DecisionEvent{Method: "m", Loop: 1, Instr: 2, Pair: -1, Op: "getfield",
+		Stride: 0, Samples: 4, Ratio: 1, Reason: FilterNoPattern, Src: "static"})
+	tr.Loop(LoopEvent{Method: "m", Loop: 2, Verdict: LoopPGOMiss, Src: "pgo"})
+	tr.Loop(LoopEvent{Method: "m", Loop: 3, Verdict: LoopSmallTrip, Trips: 1, NaturalExit: true, Nodes: 2, Src: "pgo"})
+	for _, site := range []int{7, 5} {
+		tr.Site(SiteEvent{Method: "m", Site: site, Kind: "prefetch", Issued: 1})
+	}
+	for _, s := range []SiteEvent{
+		{Method: "z", Site: 2, Kind: "load", StallCycles: 5},
+		{Method: "z", Site: 1, Kind: "load", StallCycles: 5},
+		{Method: "y", Site: 9, Kind: "load", StallCycles: 5},
+	} {
+		tr.Site(s)
+	}
+	log := tr.DecisionLog()
+	for _, want := range []string{
+		"cell a (shared)\n",
+		"cell b ERROR: boom\n",
+		"loop @B1: LOOP_STATIC_PREDICTED [via static] — 3 LDG nodes, no inspection  [static analysis",
+		"stride 0 (loop-invariant) (ratio 1.00 over 4 samples) -> FILTER_NO_PATTERN [via static]",
+		"loop @B2: LOOP_PGO_MISS [via pgo]  [PGO: no profile entry",
+		"loop @B3: LOOP_SMALL_TRIP [via pgo] — 1 trips (natural exit), 2 LDG nodes, replayed from profile  [Sec. 3: small trip",
+		"site L@5: issued=1 useless=0 dropped=0\n  site L@7:",
+		"y@9: 0 loads, 5 stall cycles\n  z@1: 0 loads, 5 stall cycles\n  z@2:",
+	} {
+		if !strings.Contains(log, want) {
+			t.Errorf("decision log missing %q\n%s", want, log)
+		}
+	}
+}
+
+// failWriter fails every write after the first ok bytes.
+type failWriter struct{ ok int }
+
+func (w *failWriter) Write(p []byte) (int, error) {
+	if len(p) > w.ok {
+		n := w.ok
+		w.ok = 0
+		return n, errors.New("disk full")
+	}
+	w.ok -= len(p)
+	return len(p), nil
+}
+
+// TestExportsReportWriteErrors pins that both exports surface a failing
+// writer instead of truncating silently, wherever the failure lands.
+func TestExportsReportWriteErrors(t *testing.T) {
+	tr := sampleTrace()
+	tr.Cell(CellEvent{Cell: "c", Wall: time.Hour, Err: "trap"})
+	var full bytes.Buffer
+	if err := tr.WriteCSV(&full); err != nil {
+		t.Fatal(err)
+	}
+	for ok := 0; ok < full.Len(); ok += 97 {
+		if err := tr.WriteCSV(&failWriter{ok: ok}); err == nil {
+			t.Fatalf("WriteCSV with a writer failing after %d bytes returned nil", ok)
+		}
+	}
+	if err := tr.WriteChromeTrace(&failWriter{}); err == nil {
+		t.Fatal("WriteChromeTrace to a failing writer returned nil")
 	}
 }
